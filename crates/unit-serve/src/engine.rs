@@ -1,15 +1,17 @@
 //! The serving engine: per-target compiled-kernel caches, the artifact
 //! replay path, and request execution through `unit-interp`.
 //!
-//! The engine owns two cache families, both **sharded per target** (one
-//! independent `ShardedCache` per target id, so traffic for one target
-//! never contends on another's locks):
+//! The engine keeps one state per served target (so traffic for one
+//! target never contends on another's locks), holding three sharded
+//! caches:
 //!
 //! * a *latency* cache (`unit_graph::compile::KernelCache`) shared with
-//!   the graph compiler for whole-model reports, and
-//! * an *executable* cache mapping the same [`KernelCacheKey`]s to
-//!   [`CompiledOp`]s whose lowered functions requests are interpreted
-//!   through.
+//!   the graph compiler for whole-model reports,
+//! * an *executable* cache mapping the same [`KernelCacheKey`]s to one
+//!   kernel slot each: the [`CompiledOp`] requests execute, the tier
+//!   that compiled it and its instruction tape, and
+//! * a *fused-batch* cache of the same slots for N same-shape GEMMs
+//!   served as one batched GEMM.
 //!
 //! Compilation consults the [`ArtifactStore`] first: a hit **replays**
 //! the persisted search-free config (`CpuTuneMode::Fixed` at the
@@ -25,15 +27,15 @@
 //! a 2-candidate CPU search / the generic GPU schedule) so the first
 //! response returns quickly, then a [`crate::retune`] job re-runs the
 //! tuner at the full tier in the background and **hot-swaps** the
-//! upgraded kernel in: artifact entry, exec-cache slot, tier tag and
-//! tape are replaced together under the engine's swap lock, and the
-//! upgrade is journaled so peer replicas swap too. Outputs are
-//! bit-identical across tiers (schedules never change results); only
+//! upgraded kernel in: the artifact entry and the exec-cache slot
+//! (kernel, tier and tape) are replaced together under the engine's swap
+//! lock, and the upgrade is journaled so peer replicas swap too. Outputs
+//! are bit-identical across tiers (schedules never change results); only
 //! latency and the reported tier/note change.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use unit_core::pipeline::{StageTimings, Target, TuningConfig};
@@ -49,23 +51,11 @@ use unit_tir::EpiGeom;
 
 use crate::artifact::{ArtifactEntry, ArtifactError, ArtifactStore};
 use crate::journal::{Journal, JournalRecord};
+use crate::lock_recovering;
 use crate::metrics::ServeMetrics;
 use crate::model::{self, Compact};
 use crate::retune::{RetuneJob, RetuneQueue};
 use crate::trace::{TraceCollector, TraceHandle};
-
-/// Lock a mutex, recovering from poisoning. Every engine mutex guards
-/// plain data whose invariants hold between operations (a `BTreeMap`
-/// store, an `Option` handle), so a panic that interrupted some *other*
-/// thread's critical section leaves nothing half-updated worth
-/// rejecting: take the data and keep serving. Without this, one
-/// panicking client thread turned every later `lock().unwrap()` into a
-/// panic — a single poisoned request wedged the whole engine.
-fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Errors surfaced by the engine (and through scheduler responses).
 #[derive(Debug)]
@@ -115,11 +105,10 @@ impl std::error::Error for ServeError {}
 /// Which executor serves requests.
 ///
 /// The compiled instruction tape ([`unit_interp::Tape`]) is the default:
-/// kernels are lowered once per `(workload, target, tuning)` and replayed
-/// from a per-target tape cache. The statement-tree interpreter remains
-/// available as the *differential oracle* — behind this knob (or
-/// `UNIT_SERVE_EXEC=interp` in the environment) — and both executors are
-/// bit-identical by construction.
+/// each kernel is lowered once, on its first dispatch, and replayed from
+/// its cache slot. The statement-tree interpreter remains available as
+/// the *differential oracle* ([`ServeEngine::with_exec_mode`]), and both
+/// executors are bit-identical by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Compiled instruction tape (the serving fast path).
@@ -127,18 +116,6 @@ pub enum ExecMode {
     Tape,
     /// Statement-tree interpreter (the differential oracle).
     Interp,
-}
-
-impl ExecMode {
-    /// The mode selected by the `UNIT_SERVE_EXEC` environment variable
-    /// (`interp` forces the oracle; anything else keeps the tape).
-    #[must_use]
-    pub fn from_env() -> ExecMode {
-        match std::env::var("UNIT_SERVE_EXEC") {
-            Ok(v) if v.eq_ignore_ascii_case("interp") => ExecMode::Interp,
-            _ => ExecMode::Tape,
-        }
-    }
 }
 
 /// One executed request's result.
@@ -177,6 +154,111 @@ pub struct ModelOutcome {
     pub fused_epilogue_ops: usize,
 }
 
+/// One cache slot: a compiled kernel, the tier that compiled it and its
+/// instruction tape, behind one `Arc` so a hot swap replaces all three
+/// with a single insert.
+struct Kernel {
+    op: CompiledOp,
+    /// Kept beside — not inside — `CompiledOp`: the tier is a serving
+    /// concept the graph-compiler layer has no business knowing.
+    tier: TuneTier,
+    /// Lowered on the kernel's first tape dispatch, or by a hot swap
+    /// before it takes the swap lock.
+    tape: OnceLock<Tape>,
+}
+
+impl Kernel {
+    fn new(op: CompiledOp, tier: TuneTier) -> Arc<Kernel> {
+        Arc::new(Kernel {
+            op,
+            tier,
+            tape: OnceLock::new(),
+        })
+    }
+
+    /// A hot swap's replacement, its tape lowered before the swap so no
+    /// request compiles it. A tape that fails to lower here is retried,
+    /// and its error returned, on the first dispatch.
+    fn for_swap(op: CompiledOp, tier: TuneTier) -> Arc<Kernel> {
+        let kernel = Kernel::new(op, tier);
+        let _ = kernel.lower_tape();
+        kernel
+    }
+
+    /// The artifact entry recording this kernel for an engine tuned at
+    /// `tuning`.
+    fn entry(&self, tuning: TuningConfig) -> ArtifactEntry {
+        ArtifactEntry {
+            workload: self.op.workload,
+            tuning,
+            replay: self.op.replay,
+            micros: self.op.micros,
+            note: self.op.note.clone(),
+            tier: self.tier,
+        }
+    }
+
+    /// One request's outcome, served by this kernel.
+    fn outcome(&self, output: TypedBuf) -> ExecOutcome {
+        ExecOutcome {
+            output,
+            micros: self.op.micros,
+            note: self.op.note.clone(),
+            tensorized: self.op.tensorized,
+            tier: self.tier,
+        }
+    }
+
+    /// Lower the tape and install it unless another thread installed one
+    /// first; returns whether this call installed it.
+    fn lower_tape(&self) -> Result<bool, ServeError> {
+        let tape = Tape::compile(&self.op.func).map_err(ServeError::Exec)?;
+        Ok(self.tape.set(tape).is_ok())
+    }
+
+    /// The kernel's tape, lowered on first use under a `tape_compile`
+    /// span on `trace`.
+    fn tape(
+        &self,
+        metrics: &ServeMetrics,
+        trace: Option<&TraceHandle>,
+    ) -> Result<&Tape, ServeError> {
+        if let Some(tape) = self.tape.get() {
+            return Ok(tape);
+        }
+        let span = trace.map(|t| t.start("tape_compile"));
+        if self.lower_tape()? {
+            metrics.record_tape_compile();
+        }
+        let tape = self.tape.get().expect("lower_tape installs a tape");
+        if let Some(span) = span {
+            let stats = tape.stats();
+            span.finish(format!(
+                "func={} ops={} intrin_sites={} elided_guards={} epilogue_ops={}",
+                self.op.func.name,
+                stats.ops,
+                stats.intrin_sites,
+                stats.elided_guards,
+                stats.epilogue_ops
+            ));
+        }
+        Ok(tape)
+    }
+}
+
+/// Everything the engine keeps for one served target.
+struct TargetState {
+    target: Target,
+    latency: Arc<KernelCache>,
+    /// Served kernels, keyed like `latency`.
+    exec: ShardedCache<KernelCacheKey, Arc<Kernel>>,
+    /// Batch-fused kernels (e.g. N same-shape GEMMs as one batched
+    /// GEMM), compiled search-free from a served kernel's replay config.
+    /// Kept out of `exec` and the artifacts: fused shapes are an
+    /// execution detail, never a served workload.
+    fused: ShardedCache<KernelCacheKey, Arc<Kernel>>,
+}
+
 /// The serving engine. Thread-safe: `&self` methods may be called from
 /// any number of scheduler workers concurrently.
 pub struct ServeEngine {
@@ -188,29 +270,14 @@ pub struct ServeEngine {
     tiered: bool,
     workers: usize,
     exec_mode: ExecMode,
-    targets: BTreeMap<String, Target>,
-    latency: BTreeMap<String, Arc<KernelCache>>,
-    exec: BTreeMap<String, Arc<ShardedCache<KernelCacheKey, Arc<CompiledOp>>>>,
-    /// Which tier compiled each exec-cache kernel, keyed identically.
-    /// Absent means full tier (pre-tier kernels, non-tiered engines).
-    /// Kept beside — not inside — `CompiledOp`: the tier is a serving
-    /// concept the graph-compiler layer has no business knowing.
-    kernel_tiers: BTreeMap<String, Arc<ShardedCache<KernelCacheKey, TuneTier>>>,
-    /// Compiled instruction tapes, one cache per target, keyed exactly
-    /// like the executable cache (plus fused-kernel keys).
-    tapes: BTreeMap<String, Arc<ShardedCache<KernelCacheKey, Arc<Tape>>>>,
-    /// Batch-fused kernels (e.g. N same-shape GEMMs as one batched
-    /// GEMM), compiled search-free from a served kernel's replay config.
-    /// Kept out of `exec`/`artifacts`: fused shapes are an execution
-    /// detail, never a served workload.
-    fused: BTreeMap<String, Arc<ShardedCache<KernelCacheKey, Arc<CompiledOp>>>>,
+    targets: BTreeMap<String, TargetState>,
     artifacts: Mutex<ArtifactStore>,
     /// The fleet-shared artifact journal, when attached: cold-compile
     /// decisions are appended for other replicas to tail, and
     /// [`ServeEngine::sync_journal`] imports theirs.
     journal: Mutex<Option<Arc<Journal>>>,
     /// The hot-swap lock. Held across every sequence that must observe
-    /// kernel, tier tag and artifact entry **coherently**: the hit
+    /// a kernel slot and its artifact entry **coherently**: the hit
     /// path's read-tier-record, a re-tune's read-compare-swap, and a
     /// tailed peer upgrade. Never held across tuner searches or journal
     /// I/O.
@@ -240,33 +307,24 @@ impl ServeEngine {
     /// The first id that is not in the target registry.
     pub fn for_targets(tuning: TuningConfig, ids: &[&str]) -> Result<ServeEngine, ServeError> {
         let mut targets = BTreeMap::new();
-        let mut latency = BTreeMap::new();
-        let mut exec = BTreeMap::new();
-        let mut kernel_tiers = BTreeMap::new();
-        let mut tapes = BTreeMap::new();
-        let mut fused = BTreeMap::new();
         for id in ids {
             let target =
                 Target::by_id(id).ok_or_else(|| ServeError::UnknownTarget((*id).to_string()))?;
-            targets.insert((*id).to_string(), target);
-            latency.insert((*id).to_string(), Arc::new(KernelCache::default()));
-            exec.insert((*id).to_string(), Arc::new(ShardedCache::default()));
-            kernel_tiers.insert((*id).to_string(), Arc::new(ShardedCache::default()));
-            tapes.insert((*id).to_string(), Arc::new(ShardedCache::default()));
-            fused.insert((*id).to_string(), Arc::new(ShardedCache::default()));
+            let state = TargetState {
+                target,
+                latency: Arc::default(),
+                exec: ShardedCache::default(),
+                fused: ShardedCache::default(),
+            };
+            targets.insert((*id).to_string(), state);
         }
         Ok(ServeEngine {
             tuning,
             cold_tuning: tuning.at_tier(TuneTier::Cold),
             tiered: false,
             workers: 1,
-            exec_mode: ExecMode::from_env(),
+            exec_mode: ExecMode::default(),
             targets,
-            latency,
-            exec,
-            kernel_tiers,
-            tapes,
-            fused,
             artifacts: Mutex::new(ArtifactStore::new()),
             journal: Mutex::new(None),
             swap: Mutex::new(()),
@@ -298,6 +356,18 @@ impl ServeEngine {
         self.metrics.record_trace(dropped);
     }
 
+    /// Run `f` on a trace of the engine's own (when tracing is on) and
+    /// finish it. In-process callers are traced this way; the scheduler
+    /// and the HTTP front-end pass each request's handle instead.
+    fn with_own_trace<R>(&self, label: String, f: impl FnOnce(Option<&TraceHandle>) -> R) -> R {
+        let own = self.tracer.begin(label);
+        let result = f(own.as_ref());
+        if let Some(handle) = own {
+            self.finish_trace(&handle);
+        }
+        result
+    }
+
     /// Serve cold misses at the capped cold tier and re-tune in the
     /// background: the first response for a novel workload compiles a
     /// cheap 2-candidate kernel, a [`RetuneJob`] is queued, and a later
@@ -311,8 +381,8 @@ impl ServeEngine {
         self
     }
 
-    /// Override the execution path (the constructor honours
-    /// `UNIT_SERVE_EXEC`; this takes precedence).
+    /// Serve through `mode` instead of the default compiled tape
+    /// ([`ExecMode::Interp`] is the differential oracle).
     #[must_use]
     pub fn with_exec_mode(mut self, mode: ExecMode) -> ServeEngine {
         self.exec_mode = mode;
@@ -373,6 +443,18 @@ impl ServeEngine {
         self.targets.contains_key(target)
     }
 
+    /// Reject a request for a target the engine does not serve, or whose
+    /// model id cannot name an artifact namespace.
+    fn admit(&self, model: &str, target_id: &str) -> Result<(), ServeError> {
+        if !self.serves(target_id) {
+            return Err(ServeError::UnknownTarget(target_id.to_string()));
+        }
+        if !valid_artifact_id(model) {
+            return Err(ServeError::InvalidModelId(model.to_string()));
+        }
+        Ok(())
+    }
+
     /// Import a persisted artifact store: merge its entries and restore
     /// every `(model, target)` block this engine serves into the
     /// per-target latency caches. Returns the number of restored cache
@@ -380,8 +462,8 @@ impl ServeEngine {
     pub fn import_artifacts(&self, store: ArtifactStore) -> usize {
         let mut restored = 0;
         for (model, target) in store.model_targets() {
-            if let Some(cache) = self.latency.get(&target) {
-                restored += store.restore_latency_cache(&model, &target, cache);
+            if let Some(state) = self.targets.get(&target) {
+                restored += store.restore_latency_cache(&model, &target, &state.latency);
             }
         }
         lock_recovering(&self.artifacts).merge(store);
@@ -456,44 +538,31 @@ impl ServeEngine {
     /// already paid the search) and swap it in under the swap lock.
     fn apply_peer_put(&self, model: &str, target: &str, entry: ArtifactEntry) {
         let key = KernelCacheKey::new(entry.workload, target, entry.tuning);
+        let state = self.targets.get(target);
         // The rebuild runs outside the swap lock: search-free is not
         // free, and the serving hit path must not stall behind it.
-        let rebuilt = self
-            .targets
-            .get(target)
-            .filter(|_| {
-                self.exec[target].get(&key).is_some() && self.kernel_tier(target, &key) < entry.tier
-            })
-            .map(|t| {
-                let provider =
-                    UnitProvider::new(t.clone(), entry.replay).with_workers(self.workers);
-                let mut kernel = provider.compile_workload_full(&entry.workload);
-                kernel.micros = entry.micros;
-                kernel.note = entry.note.clone();
-                kernel.replay = entry.replay;
-                let tape = Tape::compile(&kernel.func).ok();
-                (Arc::new(kernel), tape)
-            });
+        let rebuilt = state
+            .filter(|s| s.exec.get(&key).is_some_and(|k| k.tier < entry.tier))
+            .map(|s| Kernel::for_swap(self.replay(&s.target, &entry), entry.tier));
         let _swap = lock_recovering(&self.swap);
         if !lock_recovering(&self.artifacts).absorb(model, target, entry.clone()) {
             return;
         }
-        if let Some(cache) = self.latency.get(target) {
-            cache.insert(key.clone(), (entry.micros, entry.note.clone()));
-        }
-        let Some((kernel, tape)) = rebuilt else {
+        let Some(state) = state else {
+            return;
+        };
+        state
+            .latency
+            .insert(key.clone(), (entry.micros, entry.note.clone()));
+        let Some(kernel) = rebuilt else {
             return;
         };
         // Re-check under the lock: a local re-tune may have swapped
         // first while we were rebuilding.
-        if self.kernel_tier(target, &key) >= entry.tier {
+        if state.exec.get(&key).is_none_or(|k| k.tier >= entry.tier) {
             return;
         }
-        self.exec[target].insert(key.clone(), kernel);
-        self.kernel_tiers[target].insert(key.clone(), entry.tier);
-        if let Some(tape) = tape {
-            self.tapes[target].insert(key, Arc::new(tape));
-        }
+        state.exec.insert(key, kernel);
         self.metrics.record_retune_swap();
     }
 
@@ -507,13 +576,8 @@ impl ServeEngine {
     /// [`ServeError::UnknownTarget`] when the engine does not serve
     /// `target_id`.
     pub fn compile_model(&self, graph: &Graph, target_id: &str) -> Result<E2eReport, ServeError> {
-        let target = self
-            .targets
-            .get(target_id)
-            .ok_or_else(|| ServeError::UnknownTarget(target_id.to_string()))?;
-        if !valid_artifact_id(&graph.name) {
-            return Err(ServeError::InvalidModelId(graph.name.clone()));
-        }
+        self.admit(&graph.name, target_id)?;
+        let state = &self.targets[target_id];
         let mut workloads: Vec<CacheWorkload> = unit_graph::unique_workloads(&[graph])
             .into_iter()
             .map(CacheWorkload::Op)
@@ -524,7 +588,6 @@ impl ServeEngine {
                 .into_iter()
                 .map(|(in_features, units)| CacheWorkload::Dense { in_features, units }),
         );
-        let cache = &self.latency[target_id];
         for workload in workloads {
             // The report path only needs latencies: a workload already in
             // the latency cache (restored from artifacts, or compiled
@@ -533,29 +596,26 @@ impl ServeEngine {
             // search-free replay path. This is what makes a warm model
             // compile invoke the tuner exactly zero times.
             let key = KernelCacheKey::new(workload, target_id, self.tuning);
-            if cache.get(&key).is_some() {
+            if state.latency.get(&key).is_some() {
                 let recorded = lock_recovering(&self.artifacts)
                     .lookup(&graph.name, target_id, &workload, self.tuning)
                     .is_some();
-                if recorded {
-                    continue;
-                }
                 // Cached (another model compiled it first) but absent
                 // from *this* model's artifact namespace: record it from
                 // the executable cache if possible so the exported store
                 // replays for this model too — otherwise fall through to
                 // the full compile path.
-                if self.record_cached_artifact(&graph.name, target_id, workload) {
+                if recorded || self.record_cached(&graph.name, target_id, &key).is_some() {
                     continue;
                 }
             }
-            self.ensure_compiled(&graph.name, target_id, workload);
+            self.ensure_compiled(&graph.name, target_id, workload, None);
         }
         Ok(compile_model_with_artifacts(
             graph,
-            target.clone(),
+            state.target.clone(),
             self.tuning,
-            cache,
+            &state.latency,
             self.workers,
         ))
     }
@@ -578,27 +638,16 @@ impl ServeEngine {
         op: OpSpec,
         seed: u64,
     ) -> Result<ExecOutcome, ServeError> {
-        // In-process callers get a trace of their own when tracing is
-        // on; the scheduler passes each request's handle to
-        // [`ServeEngine::execute_traced`] instead.
-        let own = self
-            .tracer
-            .begin(format!("execute model={model} target={target_id}"));
-        let result = self.execute_traced(model, target_id, op, seed, own.as_ref());
-        if let Some(handle) = own {
-            self.finish_trace(&handle);
-        }
-        result
+        self.with_own_trace(
+            format!("execute model={model} target={target_id}"),
+            |trace| self.execute_traced(model, target_id, op, seed, trace),
+        )
     }
 
     /// [`ServeEngine::execute`] with an explicit trace handle: spans for
-    /// cache lookup, compile stages and the tape dispatch (with its
-    /// execution profile) are recorded onto `trace` when present.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::execute`].
-    pub fn execute_traced(
+    /// cache lookup, compile stages and the dispatch (with its execution
+    /// profile) are recorded onto `trace` when present.
+    pub(crate) fn execute_traced(
         &self,
         model: &str,
         target_id: &str,
@@ -606,71 +655,66 @@ impl ServeEngine {
         seed: u64,
         trace: Option<&TraceHandle>,
     ) -> Result<ExecOutcome, ServeError> {
-        if !self.serves(target_id) {
-            return Err(ServeError::UnknownTarget(target_id.to_string()));
-        }
-        if !valid_artifact_id(model) {
-            return Err(ServeError::InvalidModelId(model.to_string()));
-        }
+        self.admit(model, target_id)?;
         self.metrics.record_request_pair(model, target_id);
-        let (kernel, tier) =
-            self.ensure_compiled_traced(model, target_id, CacheWorkload::Op(op), trace);
-        let mut bufs = alloc_buffers(&kernel.func);
+        let kernel = self.ensure_compiled(model, target_id, CacheWorkload::Op(op), trace);
+        let mut bufs = alloc_buffers(&kernel.op.func);
         random_fill(&mut bufs, seed);
-        match self.exec_mode {
-            ExecMode::Tape => {
-                let key = KernelCacheKey::new(CacheWorkload::Op(op), target_id, self.tuning);
-                let tape = self.ensure_tape(target_id, &key, &kernel, trace)?;
-                self.dispatch_tape(&tape, &mut bufs, 1, trace, kernel.func.name.as_str())?;
-            }
-            ExecMode::Interp => {
-                let span = trace.map(|t| t.start("interp_dispatch"));
-                run(&kernel.func, &mut bufs).map_err(ServeError::Exec)?;
-                if let Some(span) = span {
-                    span.finish(format!("func={}", kernel.func.name));
-                }
-            }
-        }
-        Ok(ExecOutcome {
-            output: bufs.swap_remove(kernel.output),
-            micros: kernel.micros,
-            note: kernel.note.clone(),
-            tensorized: kernel.tensorized,
-            tier,
-        })
+        self.dispatch(
+            &kernel,
+            &mut bufs,
+            1,
+            &kernel.op.func.name,
+            trace.as_slice(),
+        )?;
+        Ok(kernel.outcome(bufs.swap_remove(kernel.op.output)))
     }
 
-    /// Run `tape` over `bufs` with a per-dispatch scratch, account the
-    /// dispatch and its execution profile in metrics, and record a
-    /// `tape_dispatch` span (run-time counters plus the compile-time
-    /// `elided_guards` contrast) when tracing.
-    fn dispatch_tape(
+    /// Run `kernel` once over `bufs` in the engine's [`ExecMode`],
+    /// serving `requests` stacked requests, with a `tape_dispatch` or
+    /// `interp_dispatch` span on every one of `traces`. On the tape, the
+    /// dispatch and its execution profile are accounted in metrics and
+    /// the span carries the run-time counters plus the compile-time
+    /// `elided_guards` contrast.
+    fn dispatch(
         &self,
-        tape: &Tape,
+        kernel: &Kernel,
         bufs: &mut [TypedBuf],
         requests: usize,
-        trace: Option<&TraceHandle>,
         label: &str,
+        traces: &[&TraceHandle],
     ) -> Result<(), ServeError> {
-        let span = trace.map(|t| t.start("tape_dispatch"));
-        let mut scratch = tape.scratch();
-        tape.run(bufs, &mut scratch).map_err(ServeError::Exec)?;
-        let prof = scratch.profile();
-        self.metrics.record_tape_dispatch(requests);
-        self.metrics.record_tape_profile(
-            prof.ops_retired,
-            prof.guards_executed,
-            prof.intrin_dispatches,
-        );
-        if let Some(span) = span {
-            span.finish(format!(
-                "func={label} requests={requests} ops_retired={} guards_executed={} \
-                 intrin_dispatches={} elided_guards={}",
-                prof.ops_retired,
-                prof.guards_executed,
-                prof.intrin_dispatches,
-                tape.stats().elided_guards
-            ));
+        match self.exec_mode {
+            ExecMode::Tape => {
+                let tape = kernel.tape(&self.metrics, traces.first().copied())?;
+                let spans: Vec<_> = traces.iter().map(|t| t.start("tape_dispatch")).collect();
+                let mut scratch = tape.scratch();
+                tape.run(bufs, &mut scratch).map_err(ServeError::Exec)?;
+                let prof = scratch.profile();
+                self.metrics.record_tape_dispatch(requests);
+                self.metrics.record_tape_profile(
+                    prof.ops_retired,
+                    prof.guards_executed,
+                    prof.intrin_dispatches,
+                );
+                for span in spans {
+                    span.finish(format!(
+                        "func={label} requests={requests} ops_retired={} guards_executed={} \
+                         intrin_dispatches={} elided_guards={}",
+                        prof.ops_retired,
+                        prof.guards_executed,
+                        prof.intrin_dispatches,
+                        tape.stats().elided_guards
+                    ));
+                }
+            }
+            ExecMode::Interp => {
+                let spans: Vec<_> = traces.iter().map(|t| t.start("interp_dispatch")).collect();
+                run(&kernel.op.func, bufs).map_err(ServeError::Exec)?;
+                for span in spans {
+                    span.finish(format!("func={label}"));
+                }
+            }
         }
         Ok(())
     }
@@ -706,25 +750,19 @@ impl ServeEngine {
         seed: u64,
         fused: bool,
     ) -> Result<ModelOutcome, ServeError> {
-        let own = self.tracer.begin(format!(
+        let label = format!(
             "execute_model model={} target={target_id} fused={fused}",
             graph.name
-        ));
-        let result = self.execute_model_traced(graph, target_id, seed, fused, own.as_ref());
-        if let Some(handle) = own {
-            self.finish_trace(&handle);
-        }
-        result
+        );
+        self.with_own_trace(label, |trace| {
+            self.execute_model_traced(graph, target_id, seed, fused, trace)
+        })
     }
 
     /// [`ServeEngine::execute_model`] with an explicit trace handle: one
     /// dispatch span and one epilogue span per plan step, plus compile
     /// spans for any step compiled along the way.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::execute_model`].
-    pub fn execute_model_traced(
+    pub(crate) fn execute_model_traced(
         &self,
         graph: &Graph,
         target_id: &str,
@@ -732,12 +770,7 @@ impl ServeEngine {
         fused: bool,
         trace: Option<&TraceHandle>,
     ) -> Result<ModelOutcome, ServeError> {
-        if !self.serves(target_id) {
-            return Err(ServeError::UnknownTarget(target_id.to_string()));
-        }
-        if !valid_artifact_id(&graph.name) {
-            return Err(ServeError::InvalidModelId(graph.name.clone()));
-        }
+        self.admit(&graph.name, target_id)?;
         let plan = build_plan(graph).map_err(ServeError::Plan)?;
         self.metrics.record_request_pair(&graph.name, target_id);
         let (rows, cols) = model::plan_input_dims(graph).map_err(ServeError::Plan)?;
@@ -775,41 +808,27 @@ impl ServeEngine {
             } else {
                 CacheWorkload::Op(step.op)
             };
-            let (kernel, _tier) =
-                self.ensure_compiled_traced(&graph.name, target_id, workload, trace);
-            let mut bufs = alloc_buffers(&kernel.func);
-            model::scatter_operands(&kernel.func, &data, &weight, &mut bufs)
-                .map_err(ServeError::Plan)?;
+            let kernel = self.ensure_compiled(&graph.name, target_id, workload, trace);
+            let func = &kernel.op.func;
+            let mut bufs = alloc_buffers(func);
+            model::scatter_operands(func, &data, &weight, &mut bufs).map_err(ServeError::Plan)?;
             let bias = model::implicit_bias(&graph.name, &step.name, n);
             let residuals =
                 model::resolve_residuals(step, &tokens, &outputs).map_err(ServeError::Plan)?;
             if fused {
-                model::fill_epilogue_operands(&kernel.func, &bias, &residuals, &mut bufs)
+                model::fill_epilogue_operands(func, &bias, &residuals, &mut bufs)
                     .map_err(ServeError::Plan)?;
             }
-            match self.exec_mode {
-                ExecMode::Tape => {
-                    let key = KernelCacheKey::new(workload, target_id, self.tuning);
-                    let tape = self.ensure_tape(target_id, &key, &kernel, trace)?;
-                    self.dispatch_tape(&tape, &mut bufs, 1, trace, &step.name)?;
-                }
-                ExecMode::Interp => {
-                    let span = trace.map(|t| t.start("interp_dispatch"));
-                    run(&kernel.func, &mut bufs).map_err(ServeError::Exec)?;
-                    if let Some(span) = span {
-                        span.finish(format!("step={}", step.name));
-                    }
-                }
-            }
+            self.dispatch(&kernel, &mut bufs, 1, &step.name, trace.as_slice())?;
             let epi_span = trace.map(|t| t.start("epilogue"));
-            let out_shape = &kernel.func.buffers[kernel.output].shape;
+            let out_shape = &func.buffers[kernel.op.output].shape;
             let geom = EpiGeom::for_output(batch, m, n, out_shape).ok_or_else(|| {
                 ServeError::Plan(format!(
                     "step `{}` output shape {out_shape:?} has no [{batch}, {m}, {n}] geometry",
                     step.name
                 ))
             })?;
-            let mut out = model::gather_output(&bufs[kernel.output], geom);
+            let mut out = model::gather_output(&bufs[kernel.op.output], geom);
             if !fused {
                 model::apply_epilogue_reference(&mut out, &step.epi, &bias, &residuals)
                     .map_err(ServeError::Plan)?;
@@ -821,7 +840,7 @@ impl ServeEngine {
                     step.epi.len()
                 ));
             }
-            micros += kernel.micros;
+            micros += kernel.op.micros;
             outputs.push(out);
         }
         let output = outputs.swap_remove(plan.output);
@@ -864,11 +883,7 @@ impl ServeEngine {
     /// per request (`traces` may be shorter than `seeds`; missing entries
     /// trace nothing). A fused dispatch records a `tape_dispatch` span on
     /// every present trace — the requests genuinely share the execution.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::execute_gemm_batch`].
-    pub fn execute_gemm_batch_traced(
+    pub(crate) fn execute_gemm_batch_traced(
         &self,
         model: &str,
         target_id: &str,
@@ -876,32 +891,26 @@ impl ServeEngine {
         seeds: &[u64],
         traces: &[Option<TraceHandle>],
     ) -> Result<Vec<ExecOutcome>, ServeError> {
-        let fused_spec = match (self.exec_mode, op, seeds.len()) {
-            (ExecMode::Tape, OpSpec::Gemm { m, n, k, batch }, cnt) if cnt > 1 => OpSpec::Gemm {
-                m,
-                n,
-                k,
-                batch: batch * cnt as i64,
-            },
-            _ => return self.execute_each(model, target_id, op, seeds, traces),
-        };
-        if !self.serves(target_id) {
-            return Err(ServeError::UnknownTarget(target_id.to_string()));
-        }
-        if !valid_artifact_id(model) {
-            return Err(ServeError::InvalidModelId(model.to_string()));
-        }
-        // Compile spans land on the first traced request in the run: the
-        // compile happens once for the whole fused dispatch.
-        let first = traces.iter().flatten().next();
-        let (kernel, tier) =
-            self.ensure_compiled_traced(model, target_id, CacheWorkload::Op(op), first);
-        let fused_key =
-            KernelCacheKey::new(CacheWorkload::Op(fused_spec), target_id, kernel.replay);
-        let Some(fused) = self.fused_kernel(target_id, &kernel, &fused_key, seeds.len()) else {
+        // Only two or more GEMMs on the tape fuse; the interpreter oracle
+        // executes item by item, exactly as unbatched.
+        let fuses = self.exec_mode == ExecMode::Tape && seeds.len() > 1;
+        let (true, OpSpec::Gemm { m, n, k, batch }) = (fuses, op) else {
             return self.execute_each(model, target_id, op, seeds, traces);
         };
-        let Ok(tape) = self.ensure_tape(target_id, &fused_key, &fused, first) else {
+        self.admit(model, target_id)?;
+        let fused_spec = OpSpec::Gemm {
+            m,
+            n,
+            k,
+            batch: batch * seeds.len() as i64,
+        };
+        // Compile spans land on the first traced request in the run: the
+        // compile happens once for the whole fused dispatch.
+        let traced: Vec<&TraceHandle> = traces.iter().flatten().collect();
+        let first = traced.first().copied();
+        let kernel = self.ensure_compiled(model, target_id, CacheWorkload::Op(op), first);
+        let Some(fused) = self.fused_kernel(target_id, &kernel, fused_spec, seeds.len(), first)
+        else {
             return self.execute_each(model, target_id, op, seeds, traces);
         };
 
@@ -909,9 +918,9 @@ impl ServeEngine {
         // `random_fill(_, seed)` is a pure function of the per-request
         // buffer shapes, and every fused buffer is the per-request buffer
         // stacked N times along its leading axis.
-        let mut fused_bufs = alloc_buffers(&fused.func);
+        let mut fused_bufs = alloc_buffers(&fused.op.func);
         for (j, &seed) in seeds.iter().enumerate() {
-            let mut per_bufs = alloc_buffers(&kernel.func);
+            let mut per_bufs = alloc_buffers(&kernel.op.func);
             random_fill(&mut per_bufs, seed);
             for (fb, pb) in fused_bufs.iter_mut().zip(&per_bufs) {
                 let stride = pb.len();
@@ -920,51 +929,26 @@ impl ServeEngine {
                 }
             }
         }
-        let spans: Vec<_> = traces
-            .iter()
-            .map(|t| t.as_ref().map(|t| t.start("tape_dispatch")))
-            .collect();
-        let mut scratch = tape.scratch();
-        tape.run(&mut fused_bufs, &mut scratch)
-            .map_err(ServeError::Exec)?;
-        let prof = scratch.profile();
-        self.metrics.record_tape_dispatch(seeds.len());
-        self.metrics.record_tape_profile(
-            prof.ops_retired,
-            prof.guards_executed,
-            prof.intrin_dispatches,
-        );
-        for span in spans.into_iter().flatten() {
-            span.finish(format!(
-                "func={} fused={} ops_retired={} guards_executed={} intrin_dispatches={} \
-                 elided_guards={}",
-                fused.func.name,
-                seeds.len(),
-                prof.ops_retired,
-                prof.guards_executed,
-                prof.intrin_dispatches,
-                tape.stats().elided_guards
-            ));
-        }
+        self.dispatch(
+            &fused,
+            &mut fused_bufs,
+            seeds.len(),
+            &fused.op.func.name,
+            &traced,
+        )?;
         for _ in seeds {
             self.metrics.record_request_pair(model, target_id);
         }
 
-        let out = &fused_bufs[fused.output];
-        let per_len = kernel.func.buffers[kernel.output].len();
+        let out = &fused_bufs[fused.op.output];
+        let per_len = kernel.op.func.buffers[kernel.op.output].len();
         let mut outcomes = Vec::with_capacity(seeds.len());
         for j in 0..seeds.len() {
             let mut output = TypedBuf::zeros(out.dtype, per_len);
             for i in 0..per_len {
                 output.set(i, out.get(j * per_len + i));
             }
-            outcomes.push(ExecOutcome {
-                output,
-                micros: kernel.micros,
-                note: kernel.note.clone(),
-                tensorized: kernel.tensorized,
-                tier,
-            });
+            outcomes.push(kernel.outcome(output));
         }
         Ok(outcomes)
     }
@@ -990,143 +974,88 @@ impl ServeEngine {
             .collect()
     }
 
-    /// Compile (or fetch) the fused-batch kernel, then prove the stacking
-    /// invariant fusion relies on: every fused buffer must be exactly the
+    /// Compile (or fetch) the fused-batch kernel for `spec`, then prove
+    /// what fusion relies on: every fused buffer must be exactly the
     /// per-request buffer repeated `n` times along its leading axis, with
-    /// matching dtypes and buffer/output indices. Returns `None` (caller
-    /// falls back to per-request execution) when the invariant fails.
+    /// matching dtypes and buffer/output indices, and the fused kernel
+    /// must lower to a tape. Returns `None` (caller falls back to
+    /// per-request execution) when either fails.
     fn fused_kernel(
         &self,
         target_id: &str,
-        per: &CompiledOp,
-        fused_key: &KernelCacheKey,
+        per: &Kernel,
+        spec: OpSpec,
         n: usize,
-    ) -> Option<Arc<CompiledOp>> {
-        let cache = &self.fused[target_id];
-        let fused = match cache.get(fused_key) {
-            Some(hit) => hit,
-            None => {
-                // Search-free: replay the served kernel's persisted config
-                // on the fused shape. No tuner search, no artifact entry —
-                // a warm engine stays at zero searches through fusion.
-                let provider = UnitProvider::new(self.targets[target_id].clone(), per.replay)
-                    .with_workers(self.workers);
-                let built = Arc::new(provider.compile_workload_full(&fused_key.spec));
-                cache.get_or_insert_with(fused_key.clone(), || built)
-            }
-        };
-        if fused.func.buffers.len() != per.func.buffers.len() || fused.output != per.output {
-            return None;
-        }
-        for (fb, pb) in fused.func.buffers.iter().zip(&per.func.buffers) {
-            if fb.dtype != pb.dtype || fb.len() != pb.len() * n {
-                return None;
-            }
-        }
-        Some(fused)
-    }
-
-    /// The per-target tape cache: lower the kernel once, replay forever.
-    fn ensure_tape(
-        &self,
-        target_id: &str,
-        key: &KernelCacheKey,
-        kernel: &CompiledOp,
         trace: Option<&TraceHandle>,
-    ) -> Result<Arc<Tape>, ServeError> {
-        let cache = &self.tapes[target_id];
-        if let Some(hit) = cache.get(key) {
-            return Ok(hit);
-        }
-        let span = trace.map(|t| t.start("tape_compile"));
-        let tape = Arc::new(Tape::compile(&kernel.func).map_err(ServeError::Exec)?);
-        if let Some(span) = span {
-            let stats = tape.stats();
-            span.finish(format!(
-                "func={} ops={} intrin_sites={} elided_guards={} epilogue_ops={}",
-                kernel.func.name,
-                stats.ops,
-                stats.intrin_sites,
-                stats.elided_guards,
-                stats.epilogue_ops
-            ));
-        }
-        let won = cache.get_or_insert_with(key.clone(), || Arc::clone(&tape));
-        if Arc::ptr_eq(&won, &tape) {
-            self.metrics.record_tape_compile();
-        }
-        Ok(won)
+    ) -> Option<Arc<Kernel>> {
+        let state = &self.targets[target_id];
+        let key = KernelCacheKey::new(CacheWorkload::Op(spec), target_id, per.op.replay);
+        // Search-free: replay the served kernel's persisted config on the
+        // fused shape. No tuner search, no artifact entry — a warm engine
+        // stays at zero searches through fusion.
+        let fused = state.fused.get_or_insert_with(key.clone(), || {
+            Kernel::new(
+                self.compile(&state.target, per.op.replay, &key.spec),
+                per.tier,
+            )
+        });
+        let (fb, pb) = (&fused.op.func.buffers, &per.op.func.buffers);
+        let stacks = fb.len() == pb.len()
+            && fused.op.output == per.op.output
+            && fb
+                .iter()
+                .zip(pb)
+                .all(|(f, p)| f.dtype == p.dtype && f.len() == p.len() * n);
+        (stacks && fused.tape(&self.metrics, trace).is_ok()).then_some(fused)
     }
 
-    /// The artifact-aware compile path. Returns the executable kernel
-    /// for `(workload, target, engine tuning)` and the tier that
-    /// compiled it, from (in order): the per-target executable cache,
-    /// artifact replay, or a cold compile — at the cold tier on tiered
-    /// engines — which records its decision into the artifact store.
+    /// Compile `workload` for `target` at `config`.
+    fn compile(
+        &self,
+        target: &Target,
+        config: TuningConfig,
+        workload: &CacheWorkload,
+    ) -> CompiledOp {
+        UnitProvider::new(target.clone(), config)
+            .with_workers(self.workers)
+            .compile_workload_full(workload)
+    }
+
+    /// Rebuild `entry`'s kernel search-free from its replay config. The
+    /// persisted micros/note are authoritative (the replayed estimate
+    /// would differ on GPU targets, where `Generic` re-profiles a
+    /// different config).
+    fn replay(&self, target: &Target, entry: &ArtifactEntry) -> CompiledOp {
+        let mut op = self.compile(target, entry.replay, &entry.workload);
+        op.micros = entry.micros;
+        op.note = entry.note.clone();
+        op.replay = entry.replay;
+        op
+    }
+
+    /// The artifact-aware compile path. Returns the served kernel for
+    /// `(workload, target, engine tuning)` from (in order): the
+    /// per-target executable cache, artifact replay, or a cold compile —
+    /// at the cold tier on tiered engines — which records its decision
+    /// into the artifact store. Spans: `cache_lookup` on every call, then
+    /// `artifact_replay` or `cold_compile` plus back-dated per-stage
+    /// spans (inspect → tune → lower) on misses.
     fn ensure_compiled(
         &self,
         model: &str,
         target_id: &str,
         workload: CacheWorkload,
-    ) -> (Arc<CompiledOp>, TuneTier) {
-        self.ensure_compiled_traced(model, target_id, workload, None)
-    }
-
-    /// [`Self::ensure_compiled`] with compile-path spans: `cache_lookup`
-    /// on every call, then `artifact_replay` or `cold_compile` plus
-    /// back-dated per-stage spans (inspect → tune → lower) on misses.
-    fn ensure_compiled_traced(
-        &self,
-        model: &str,
-        target_id: &str,
-        workload: CacheWorkload,
         trace: Option<&TraceHandle>,
-    ) -> (Arc<CompiledOp>, TuneTier) {
-        let target = &self.targets[target_id];
-        let exec = &self.exec[target_id];
+    ) -> Arc<Kernel> {
+        let state = &self.targets[target_id];
         let key = KernelCacheKey::new(workload, target_id, self.tuning);
-        // The hit path holds the swap lock across the whole
-        // read-tier-record sequence. Without it, a background hot-swap
-        // landing between the exec-cache read and the artifact record
-        // let this thread write the stale cold-tier entry (with the
-        // cold replay config) into a namespace the swap had already
-        // upgraded — a lost update that resurrected the cheap kernel on
-        // the next warm start. Journal I/O stays outside the lock.
         let lookup = trace.map(|t| t.start("cache_lookup"));
-        let hit = {
-            let _swap = lock_recovering(&self.swap);
-            exec.get(&key).map(|hit| {
-                let tier = self.kernel_tier(target_id, &key);
-                // The executable cache is keyed per (workload, target),
-                // not per model — a second model sharing a workload with
-                // an earlier one rides the same kernel. Its *artifact*
-                // entry must still be recorded, or a warm start serving
-                // only this model would re-search.
-                let entry = ArtifactEntry {
-                    workload,
-                    tuning: self.tuning,
-                    replay: hit.replay,
-                    micros: hit.micros,
-                    note: hit.note.clone(),
-                    tier,
-                };
-                let inserted =
-                    lock_recovering(&self.artifacts).absorb(model, target_id, entry.clone());
-                (hit, tier, inserted.then_some(entry))
-            })
-        };
-        if let Some((hit, tier, journaled)) = hit {
+        if let Some(kernel) = self.record_cached(model, target_id, &key) {
             if let Some(span) = lookup {
-                span.finish(format!("kernel_cache=hit tier={tier:?}"));
+                span.finish(format!("kernel_cache=hit tier={:?}", kernel.tier));
             }
             self.metrics.record_kernel_hit();
-            if let Some(entry) = journaled {
-                self.journal_put(model, target_id, entry);
-            }
-            if tier == TuneTier::Cold {
-                self.enqueue_retune(model, target_id, workload);
-            }
-            return (hit, tier);
+            return kernel;
         }
         self.metrics.record_kernel_miss();
 
@@ -1139,73 +1068,49 @@ impl ServeEngine {
                 if entry.is_some() { "hit" } else { "miss" }
             ));
         }
-        let (compiled, tier) = match entry {
+        let kernel = match entry {
             Some(entry) => {
                 self.metrics.record_artifact_hit();
                 let span = trace.map(|t| t.start("artifact_replay"));
-                // Replay: rebuild the identical kernel search-free; the
-                // persisted micros/note are authoritative (the replayed
-                // estimate would differ on GPU targets, where `Generic`
-                // re-profiles a different config).
-                let provider =
-                    UnitProvider::new(target.clone(), entry.replay).with_workers(self.workers);
-                let mut compiled = provider.compile_workload_full(&workload);
-                compiled.micros = entry.micros;
-                compiled.note = entry.note;
-                compiled.replay = entry.replay;
+                let op = self.replay(&state.target, &entry);
                 if let Some(t) = trace {
-                    record_stage_spans(t, compiled.stages, "path=artifact_replay");
+                    record_stage_spans(t, op.stages, "path=artifact_replay");
                 }
                 if let Some(span) = span {
-                    span.finish(format!("tier={:?} note={}", entry.tier, compiled.note));
+                    span.finish(format!("tier={:?} note={}", entry.tier, op.note));
                 }
-                if entry.tier == TuneTier::Cold {
-                    // A replayed cold-tier decision serves cheaply but
-                    // still owes its full-tier upgrade.
-                    self.enqueue_retune(model, target_id, workload);
-                }
-                (compiled, entry.tier)
+                // A replayed cold-tier decision serves cheaply but still
+                // owes its full-tier upgrade (queued below).
+                Kernel::new(op, entry.tier)
             }
             None => {
                 self.metrics.record_artifact_miss();
                 let (effective, tier) = self.cold_compile_config();
                 let span = trace.map(|t| t.start("cold_compile"));
                 let started = Instant::now();
-                let provider =
-                    UnitProvider::new(target.clone(), effective).with_workers(self.workers);
-                let compiled = provider.compile_workload_full(&workload);
+                let op = self.compile(&state.target, effective, &workload);
                 if let Some(t) = trace {
-                    record_stage_spans(t, compiled.stages, "path=cold_compile");
+                    record_stage_spans(t, op.stages, "path=cold_compile");
                 }
                 if let Some(span) = span {
-                    span.finish(format!("tier={tier:?} note={}", compiled.note));
+                    span.finish(format!("tier={tier:?} note={}", op.note));
                 }
                 // A search only actually ran when the workload tensorized
                 // (fallback kernels never reach the tuner), keeping this
                 // metric aligned with the ground-truth counters in
                 // `unit_core::tuner::stats`.
-                if compiled.tensorized && effective.searches(&target.desc.style) {
+                if op.tensorized && effective.searches(&state.target.desc.style) {
                     self.metrics.record_tuner_search();
                 }
                 self.metrics.record_cold_start(tier, started.elapsed());
-                self.persist_entry(
-                    model,
-                    target_id,
-                    ArtifactEntry {
-                        workload,
-                        tuning: self.tuning,
-                        replay: compiled.replay,
-                        micros: compiled.micros,
-                        note: compiled.note.clone(),
-                        tier,
-                    },
-                );
-                if tier == TuneTier::Cold {
-                    self.enqueue_retune(model, target_id, workload);
-                }
-                (compiled, tier)
+                let kernel = Kernel::new(op, tier);
+                self.persist_entry(model, target_id, kernel.entry(self.tuning));
+                kernel
             }
         };
+        if kernel.tier == TuneTier::Cold {
+            self.enqueue_retune(model, target_id, workload);
+        }
         // A fused kernel was (re)built for this engine: account its
         // in-dispatch epilogue ops — the per-op interpreter passes the
         // fusion eliminated from the serve path.
@@ -1216,20 +1121,48 @@ impl ServeEngine {
         }
         // Keep the latency cache coherent so whole-model reports agree
         // with what requests were served (first-insert-wins on races).
-        self.latency[target_id]
-            .get_or_insert_with(key.clone(), || (compiled.micros, compiled.note.clone()));
-        let compiled = Arc::new(compiled);
+        state
+            .latency
+            .get_or_insert_with(key.clone(), || (kernel.op.micros, kernel.op.note.clone()));
         let _swap = lock_recovering(&self.swap);
-        let won = exec.get_or_insert_with(key.clone(), || Arc::clone(&compiled));
-        if Arc::ptr_eq(&won, &compiled) {
-            self.kernel_tiers[target_id].insert(key, tier);
-            (won, tier)
-        } else {
-            // Lost the insert race (possibly against a concurrent
-            // hot-swap): the winner's tier tag is authoritative.
-            let tier = self.kernel_tier(target_id, &key);
-            (won, tier)
+        // Losing the insert race (possibly to a concurrent hot-swap)
+        // serves the winner's slot, tier included.
+        state.exec.get_or_insert_with(key, || kernel)
+    }
+
+    /// Record the exec-cached kernel under `key` into `model`'s artifact
+    /// namespace and return it (`None` when nothing is cached). The
+    /// executable cache is keyed per (workload, target), not per model —
+    /// a second model sharing a workload with an earlier one rides the
+    /// same kernel. Its *artifact* entry must still be recorded, or a
+    /// warm start serving only this model would re-search.
+    ///
+    /// The swap lock covers the whole read-tier-record sequence. Without
+    /// it, a background hot-swap landing between the exec-cache read and
+    /// the artifact record let this thread write the stale cold-tier
+    /// entry (with the cold replay config) into a namespace the swap had
+    /// already upgraded — a lost update that resurrected the cheap kernel
+    /// on the next warm start. Journal I/O stays outside the lock.
+    fn record_cached(
+        &self,
+        model: &str,
+        target_id: &str,
+        key: &KernelCacheKey,
+    ) -> Option<Arc<Kernel>> {
+        let (kernel, journaled) = {
+            let _swap = lock_recovering(&self.swap);
+            let kernel = self.targets[target_id].exec.get(key)?;
+            let entry = kernel.entry(self.tuning);
+            let inserted = lock_recovering(&self.artifacts).absorb(model, target_id, entry.clone());
+            (kernel, inserted.then_some(entry))
+        };
+        if let Some(entry) = journaled {
+            self.journal_put(model, target_id, entry);
         }
+        if kernel.tier == TuneTier::Cold {
+            self.enqueue_retune(model, target_id, key.spec);
+        }
+        Some(kernel)
     }
 
     /// The tuning config and tier a cold compile runs at. Tiered
@@ -1243,50 +1176,6 @@ impl ServeEngine {
         } else {
             (self.tuning, TuneTier::Full)
         }
-    }
-
-    /// The tier that compiled the exec-cached kernel under `key`
-    /// (absent = full tier).
-    fn kernel_tier(&self, target_id: &str, key: &KernelCacheKey) -> TuneTier {
-        self.kernel_tiers[target_id].get(key).unwrap_or_default()
-    }
-
-    /// Record the exec-cached kernel for `workload` into `model`'s
-    /// artifact namespace, reading kernel and tier together under the
-    /// swap lock so a concurrent hot-swap cannot produce a mixed-tier
-    /// record. Returns `false` when no executable kernel is cached
-    /// (the caller falls through to the compile path).
-    fn record_cached_artifact(
-        &self,
-        model: &str,
-        target_id: &str,
-        workload: CacheWorkload,
-    ) -> bool {
-        let key = KernelCacheKey::new(workload, target_id, self.tuning);
-        let (tier, journaled) = {
-            let _swap = lock_recovering(&self.swap);
-            let Some(kernel) = self.exec[target_id].get(&key) else {
-                return false;
-            };
-            let tier = self.kernel_tier(target_id, &key);
-            let entry = ArtifactEntry {
-                workload,
-                tuning: self.tuning,
-                replay: kernel.replay,
-                micros: kernel.micros,
-                note: kernel.note.clone(),
-                tier,
-            };
-            let inserted = lock_recovering(&self.artifacts).absorb(model, target_id, entry.clone());
-            (tier, inserted.then_some(entry))
-        };
-        if let Some(entry) = journaled {
-            self.journal_put(model, target_id, entry);
-        }
-        if tier == TuneTier::Cold {
-            self.enqueue_retune(model, target_id, workload);
-        }
-        true
     }
 
     /// Absorb `entry` into the store (insert if absent, upgrade if
@@ -1370,57 +1259,42 @@ impl ServeEngine {
         self.retunes.wait_for_work(timeout);
     }
 
-    /// Run one re-tune job: re-run the tuner at the **full** tier
-    /// (outside every lock — the search is the expensive part), then
-    /// atomically swap the upgraded kernel in under the swap lock:
-    /// artifact entries (every model namespace sharing the identity),
-    /// exec-cache slot, tier tag, latency entry and tape move together,
-    /// so no request can observe a full-tier artifact with a cold-tier
-    /// kernel or vice versa. Journals the upgrade for peer replicas.
-    /// Returns whether a swap happened.
+    /// Run one re-tune job on a trace of its own: the request that
+    /// queued the job finished long ago, so its timeline cannot carry
+    /// the background upgrade. Returns whether a swap happened.
     fn retune(&self, job: &RetuneJob) -> bool {
-        // Re-tunes get traces of their own: the request that queued the
-        // job finished long ago, so its timeline cannot carry the
-        // background upgrade.
-        let own = self.tracer.begin(format!(
-            "retune target={} workload={:?}",
-            job.target, job.workload
-        ));
-        if let Some(t) = own.as_ref() {
-            let wait = u64::try_from(job.enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
-            t.record_ending_now("retune_queue_wait", wait, "");
-        }
-        let swapped = self.retune_inner(job, own.as_ref());
-        if let Some(handle) = own {
-            self.finish_trace(&handle);
-        }
-        swapped
+        let label = format!("retune target={} workload={:?}", job.target, job.workload);
+        self.with_own_trace(label, |trace| {
+            if let Some(t) = trace {
+                let wait = u64::try_from(job.enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
+                t.record_ending_now("retune_queue_wait", wait, "");
+            }
+            self.retune_traced(job, trace)
+        })
     }
 
-    fn retune_inner(&self, job: &RetuneJob, trace: Option<&TraceHandle>) -> bool {
-        let Some(target) = self.targets.get(&job.target) else {
+    /// Re-run the tuner at the **full** tier (outside every lock — the
+    /// search is the expensive part), then atomically swap the upgraded
+    /// kernel in under the swap lock: artifact entries (every model
+    /// namespace sharing the identity), the exec-cache slot and the
+    /// latency entry move together, so no request can observe a
+    /// full-tier artifact with a cold-tier kernel or vice versa.
+    /// Journals the upgrade for peer replicas.
+    fn retune_traced(&self, job: &RetuneJob, trace: Option<&TraceHandle>) -> bool {
+        let Some(state) = self.targets.get(&job.target) else {
             self.metrics.record_retune_completed();
             return false;
         };
-        let provider = UnitProvider::new(target.clone(), self.tuning).with_workers(self.workers);
-        let compiled = provider.compile_workload_full(&job.workload);
+        let op = self.compile(&state.target, self.tuning, &job.workload);
         if let Some(t) = trace {
-            record_stage_spans(t, compiled.stages, "path=retune_full_tier");
+            record_stage_spans(t, op.stages, "path=retune_full_tier");
         }
-        if compiled.tensorized && self.tuning.searches(&target.desc.style) {
+        if op.tensorized && self.tuning.searches(&state.target.desc.style) {
             self.metrics.record_tuner_search();
         }
-        let entry = ArtifactEntry {
-            workload: job.workload,
-            tuning: self.tuning,
-            replay: compiled.replay,
-            micros: compiled.micros,
-            note: compiled.note.clone(),
-            tier: TuneTier::Full,
-        };
-        let tape = Tape::compile(&compiled.func).ok();
+        let kernel = Kernel::for_swap(op, TuneTier::Full);
+        let entry = kernel.entry(self.tuning);
         let key = KernelCacheKey::new(job.workload, &job.target, self.tuning);
-        let compiled = Arc::new(compiled);
         let swap_span = trace.map(|t| t.start("hot_swap"));
         let upgraded: Vec<String> = {
             let _swap = lock_recovering(&self.swap);
@@ -1438,21 +1312,17 @@ impl ServeEngine {
                 })
                 .map(|(m, _)| m)
                 .collect();
-            if models.is_empty() {
-                Vec::new()
-            } else {
+            if !models.is_empty() {
                 for model in &models {
                     artifacts.record(model, &job.target, entry.clone());
                 }
                 drop(artifacts);
-                self.latency[&job.target].insert(key.clone(), (entry.micros, entry.note.clone()));
-                self.exec[&job.target].insert(key.clone(), Arc::clone(&compiled));
-                self.kernel_tiers[&job.target].insert(key.clone(), TuneTier::Full);
-                if let Some(tape) = tape {
-                    self.tapes[&job.target].insert(key, Arc::new(tape));
-                }
-                models
+                state
+                    .latency
+                    .insert(key.clone(), (entry.micros, entry.note.clone()));
+                state.exec.insert(key, kernel);
             }
+            models
         };
         if let Some(span) = swap_span {
             span.finish(format!("upgraded_namespaces={}", upgraded.len()));
@@ -1885,6 +1755,124 @@ mod tests {
         let after = engine.execute("m", "x86-avx512-vnni", op, 7).unwrap();
         assert_eq!(after.tier, TuneTier::Full);
         assert_eq!(after.output, cold.output);
+    }
+
+    #[test]
+    fn dispatch_spans_and_tape_counters_agree_on_every_serve_path() {
+        // Characterizes the three dispatch paths (one op, a fused
+        // same-shape GEMM batch, a fused whole-model forward) in both
+        // executors: the dispatch spans each trace carries, the keys of
+        // every `tape_dispatch` span, and tape counters that move by
+        // exactly what those spans report.
+        use unit_core::tuner::{CpuTuneMode, GpuTuneMode};
+        let tuning = TuningConfig {
+            cpu: CpuTuneMode::Tuned { max_pairs: 2 },
+            gpu: GpuTuneMode::Tuned,
+        };
+        let target = "x86-avx512-vnni";
+        let op = OpSpec::gemm(8, 16, 16);
+        let micro = crate::model_graph("transformer-micro").unwrap();
+        let field = |detail: &str, key: &str| -> Option<u64> {
+            let value = detail
+                .split_whitespace()
+                .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))?;
+            Some(value.parse().unwrap_or(0))
+        };
+        for mode in [ExecMode::Tape, ExecMode::Interp] {
+            let engine = ServeEngine::new(tuning).with_exec_mode(mode).with_tracing();
+            let counters = || {
+                let m = engine.metrics();
+                [
+                    m.tape_dispatches(),
+                    m.tape_fused_requests(),
+                    m.tape_ops_retired(),
+                    m.tape_intrin_dispatches(),
+                ]
+            };
+            // Finish `traces`, count their dispatch spans, and compare the
+            // counters' movement since `before` with the span fields.
+            let check = |path: &str,
+                         traces: &[Option<TraceHandle>],
+                         before: [u64; 4],
+                         dispatches: usize,
+                         fused_requests: u64| {
+                let mut details: Vec<Vec<String>> = Vec::new();
+                for handle in traces.iter().flatten() {
+                    engine.finish_trace(handle);
+                    let spans = engine.tracer().get(handle.id()).unwrap().spans();
+                    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+                    let expected = match mode {
+                        ExecMode::Tape => (dispatches, 0),
+                        ExecMode::Interp => (0, dispatches),
+                    };
+                    assert_eq!(
+                        (count("tape_dispatch"), count("interp_dispatch")),
+                        expected,
+                        "{mode:?} {path}: dispatch spans per trace"
+                    );
+                    details.push(
+                        spans
+                            .iter()
+                            .filter(|s| s.name == "tape_dispatch")
+                            .map(|s| s.detail.clone())
+                            .collect(),
+                    );
+                }
+                assert_eq!(details.len(), traces.len(), "{path}: every trace finished");
+                assert!(
+                    details.windows(2).all(|w| w[0] == w[1]),
+                    "{mode:?} {path}: a shared dispatch reports alike on every trace"
+                );
+                for detail in &details[0] {
+                    for key in ["func", "ops_retired", "intrin_dispatches"] {
+                        assert!(field(detail, key).is_some(), "`{key}` missing: {detail}");
+                    }
+                }
+                let sum =
+                    |key: &str| -> u64 { details[0].iter().filter_map(|d| field(d, key)).sum() };
+                let after = counters();
+                let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+                let tape = mode == ExecMode::Tape;
+                assert_eq!(
+                    delta,
+                    [
+                        details[0].len() as u64,
+                        if tape { fused_requests } else { 0 },
+                        sum("ops_retired"),
+                        sum("intrin_dispatches"),
+                    ],
+                    "{mode:?} {path}: tape counter deltas vs span fields"
+                );
+            };
+
+            let traces = vec![engine.tracer().begin("op")];
+            let before = counters();
+            engine
+                .execute_traced("m", target, op, 1, traces[0].as_ref())
+                .unwrap();
+            check("op", &traces, before, 1, 0);
+
+            // Two traced requests plus one untraced, fused into one
+            // dispatch on the tape.
+            let traces = vec![
+                engine.tracer().begin("batch"),
+                engine.tracer().begin("batch"),
+            ];
+            let before = counters();
+            let outs = engine
+                .execute_gemm_batch_traced("m", target, op, &[1, 2, 3], &traces)
+                .unwrap();
+            assert_eq!(outs.len(), 3);
+            check("batch", &traces, before, 1, 3);
+
+            let traces = vec![engine.tracer().begin("model")];
+            let before = counters();
+            let out = engine
+                .execute_model_traced(&micro, target, 1, true, traces[0].as_ref())
+                .unwrap();
+            assert_eq!(out.steps, 8);
+            check("model", &traces, before, 8, 0);
+        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ use crate::artifact::{
     decode_entry_fields, encode_entry_fields, fnv1a, write_atomically, ArtifactEntry,
     ArtifactError, ArtifactStore,
 };
+use crate::lock_recovering;
 
 /// The version+generation prefix this build writes and accepts.
 pub const JOURNAL_FORMAT_VERSION: &str = "unit-artifact-journal v3";
@@ -280,7 +281,7 @@ impl Journal {
         drop(file);
 
         let floor = {
-            let state = lock_tail(&self.tail);
+            let state = lock_recovering(&self.tail);
             state.compact_floor.max(self.max_bytes)
         };
         if len > floor {
@@ -303,7 +304,7 @@ impl Journal {
         let _lock = self.lock_file(false)?;
         let text = std::fs::read_to_string(&self.path)?;
         let parsed = parse_journal(&text)?;
-        let mut state = lock_tail(&self.tail);
+        let mut state = lock_recovering(&self.tail);
         let start = if state.generation == parsed.generation && state.offset <= parsed.valid_end {
             state.offset
         } else {
@@ -328,7 +329,7 @@ impl Journal {
         let text = std::fs::read_to_string(&self.path)?;
         let parsed = parse_journal(&text)?;
         let store = fold_records(parsed.records);
-        let mut state = lock_tail(&self.tail);
+        let mut state = lock_recovering(&self.tail);
         state.generation = parsed.generation;
         state.offset = parsed.valid_end;
         Ok(store)
@@ -356,7 +357,7 @@ impl Journal {
         }
         let new_len = out.len() as u64;
         write_atomically(&self.path, out.as_bytes())?;
-        let mut state = lock_tail(&self.tail);
+        let mut state = lock_recovering(&self.tail);
         // Doubling floor: don't re-compact until the file has grown
         // well past the live set we just wrote.
         state.compact_floor = self.max_bytes.max(new_len.saturating_mul(2));
@@ -688,13 +689,6 @@ fn heal_torn_tail(file: &mut File) -> Result<u64, ArtifactError> {
         file.sync_all()?;
     }
     Ok(nl + 1)
-}
-
-/// Poison-recovering tail-state lock: the cursor is a plain value with
-/// no cross-field invariants, so a panicked holder leaves it usable.
-fn lock_tail(tail: &Mutex<TailState>) -> std::sync::MutexGuard<'_, TailState> {
-    tail.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -12,13 +12,15 @@
 //!   corrupt/truncated/version-bumped files and torn-tail crash
 //!   recovery ([`ArtifactStore::load_recovering`]). A warm start
 //!   replays the store and performs **zero** tuner searches.
-//! * [`engine`] — per-target (sharded) latency + executable-kernel +
-//!   instruction-tape caches, artifact-aware compilation, whole-model
-//!   reports (bit-identical to the graph compiler), and request
-//!   execution through the compiled tape by default
-//!   ([`engine::ExecMode`]; the tree-walk interpreter stays behind the
-//!   knob as the differential oracle — both bit-identical to
-//!   `run_reference`), including fused batched-GEMM dispatch.
+//! * [`engine`] — one state per served target: a (sharded) latency
+//!   cache and an executable cache whose slots each hold a kernel, the
+//!   tier that compiled it and its instruction tape, so a hot swap is a
+//!   single insert. Artifact-aware compilation, whole-model reports
+//!   (bit-identical to the graph compiler), and one dispatch path that
+//!   runs a kernel for one request or a fused batched GEMM — through
+//!   the compiled tape by default ([`engine::ExecMode`]; the tree-walk
+//!   interpreter stays behind it as the differential oracle — both
+//!   bit-identical to `run_reference`).
 //! * [`scheduler`] — bounded admission, dynamic `(model, target)`
 //!   batching, one worker thread per target; order-independent but
 //!   result-deterministic. Workers fuse same-shape GEMM runs within a
@@ -28,7 +30,7 @@
 //!   advisory lock and tail each other's appends, so a replica
 //!   warm-starts search-free off decisions another replica just made.
 //!   Atomic compaction with retired-target GC, a max-size policy, and
-//!   a v1→v2 migration.
+//!   the v3 format, migrating v1 and v2 journals on open.
 //! * [`net`] — the hand-rolled HTTP/1.1 front-end over std
 //!   `TcpListener`: `POST /v1/execute` bridges onto the scheduler's
 //!   bounded queue (queue-full → 429, per-request failure → 500, body
@@ -38,7 +40,7 @@
 //!   workload immediately from a cheap search-capped compile
 //!   (`TuneTier::Cold`), then a bounded, hottest-first background queue
 //!   re-runs the tuner at the full tier and **hot-swaps** the upgraded
-//!   kernel in (artifact entry + exec cache + tape together, under the
+//!   kernel in (artifact entry and exec-cache slot together, under the
 //!   engine's swap lock) without a serving stall — and journals the
 //!   upgrade so peer replicas swap too. Outputs are bit-identical
 //!   across tiers; only latency changes.
@@ -118,3 +120,18 @@ pub use trace::{
     Span, TraceCollector, TraceHandle, TRACE_ENV, TRACE_EXEMPLARS, TRACE_RING_CAPACITY,
 };
 pub use unit_core::tuner::TuneTier;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock a mutex, recovering the data if a panicking holder poisoned it.
+/// Every mutex locked through this guards plain data whose invariants
+/// hold between operations (artifact store, journal handle and tail
+/// cursor, re-tune queue, hot-pair table, span lists), so a panic that
+/// interrupted some *other* thread's critical section leaves nothing
+/// half-updated worth rejecting: take the data and keep serving.
+/// Without this, one panicking client thread turned every later
+/// `lock().unwrap()` into a panic — a single poisoned request wedged the
+/// whole engine.
+pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -19,6 +19,8 @@ use std::time::Duration;
 
 use unit_core::tuner::TuneTier;
 
+use crate::lock_recovering;
+
 /// Histogram bucket upper bounds in microseconds (the last bucket is an
 /// unbounded overflow). Spanning 1 us .. 1 s covers everything from a
 /// cache-hit GEMM on a warm engine to a cold whole-model compile.
@@ -783,12 +785,6 @@ impl ServeMetrics {
         hist("cold_start_full_tier_us", &self.cold_start_full);
         out
     }
-}
-
-/// Lock a mutex, recovering the data if a panicking holder poisoned it.
-/// Metrics are monotone counters — a half-applied bump is still valid.
-fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn rate(hits: u64, misses: u64) -> f64 {

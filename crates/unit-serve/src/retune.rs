@@ -22,13 +22,14 @@
 //! [`ServeEngine::run_pending_retunes`]: crate::ServeEngine::run_pending_retunes
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use unit_graph::CacheWorkload;
 
 use crate::engine::ServeEngine;
+use crate::lock_recovering;
 
 /// Maximum pending re-tune jobs. A full queue drops new jobs instead of
 /// growing: the next request for the dropped workload re-enqueues it
@@ -61,16 +62,12 @@ pub(crate) struct RetuneQueue {
     work: Condvar,
 }
 
-fn lock(m: &Mutex<Vec<RetuneJob>>) -> MutexGuard<'_, Vec<RetuneJob>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 impl RetuneQueue {
     /// Enqueue `job` unless an equivalent `(target, workload)` job is
     /// already pending or the queue is full. Returns whether the job
     /// was actually enqueued.
     pub(crate) fn push(&self, job: RetuneJob) -> bool {
-        let mut jobs = lock(&self.jobs);
+        let mut jobs = lock_recovering(&self.jobs);
         let duplicate = jobs
             .iter()
             .any(|j| j.target == job.target && j.workload == job.workload);
@@ -84,13 +81,13 @@ impl RetuneQueue {
 
     /// Pending jobs.
     pub(crate) fn len(&self) -> usize {
-        lock(&self.jobs).len()
+        lock_recovering(&self.jobs).len()
     }
 
     /// Remove and return the job maximizing `priority`; the earliest
     /// enqueued job wins ties (FIFO). `None` when the queue is empty.
     pub(crate) fn pop_max_by(&self, priority: impl Fn(&RetuneJob) -> u64) -> Option<RetuneJob> {
-        let mut jobs = lock(&self.jobs);
+        let mut jobs = lock_recovering(&self.jobs);
         let best = jobs
             .iter()
             .enumerate()
@@ -103,7 +100,7 @@ impl RetuneQueue {
     /// re-checks its stop flag on every wake, so the timeout also bounds
     /// shutdown latency.)
     pub(crate) fn wait_for_work(&self, timeout: Duration) {
-        let jobs = lock(&self.jobs);
+        let jobs = lock_recovering(&self.jobs);
         if jobs.is_empty() {
             let _ = self.work.wait_timeout(jobs, timeout);
         }

@@ -35,8 +35,10 @@
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use crate::lock_recovering;
 
 /// Ring capacity: the collector retains at most this many recent traces.
 pub const TRACE_RING_CAPACITY: usize = 256;
@@ -428,10 +430,6 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
