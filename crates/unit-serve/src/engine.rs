@@ -52,7 +52,7 @@ use unit_tir::EpiGeom;
 use crate::artifact::{ArtifactEntry, ArtifactError, ArtifactStore};
 use crate::journal::{Journal, JournalRecord};
 use crate::lock_recovering;
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Metric, ServeMetrics};
 use crate::model::{self, Compact};
 use crate::retune::{RetuneJob, RetuneQueue};
 use crate::trace::{TraceCollector, TraceHandle};
@@ -228,7 +228,7 @@ impl Kernel {
         }
         let span = trace.map(|t| t.start("tape_compile"));
         if self.lower_tape()? {
-            metrics.record_tape_compile();
+            metrics.add(Metric::TapeCompiles, 1);
         }
         let tape = self.tape.get().expect("lower_tape installs a tape");
         if let Some(span) = span {
@@ -528,7 +528,8 @@ impl ServeEngine {
                 }
             }
         }
-        self.metrics.record_journal_tailed(applied as u64);
+        self.metrics
+            .add(Metric::JournalTailedRecords, applied as u64);
         Ok(applied)
     }
 
@@ -563,7 +564,7 @@ impl ServeEngine {
             return;
         }
         state.exec.insert(key, kernel);
-        self.metrics.record_retune_swap();
+        self.metrics.add(Metric::RetuneSwaps, 1);
     }
 
     /// Compile a whole model for a target: every unique tensor workload
@@ -1054,10 +1055,10 @@ impl ServeEngine {
             if let Some(span) = lookup {
                 span.finish(format!("kernel_cache=hit tier={:?}", kernel.tier));
             }
-            self.metrics.record_kernel_hit();
+            self.metrics.add(Metric::KernelHits, 1);
             return kernel;
         }
-        self.metrics.record_kernel_miss();
+        self.metrics.add(Metric::KernelMisses, 1);
 
         let entry = lock_recovering(&self.artifacts)
             .lookup(model, target_id, &workload, self.tuning)
@@ -1070,7 +1071,7 @@ impl ServeEngine {
         }
         let kernel = match entry {
             Some(entry) => {
-                self.metrics.record_artifact_hit();
+                self.metrics.add(Metric::ArtifactHits, 1);
                 let span = trace.map(|t| t.start("artifact_replay"));
                 let op = self.replay(&state.target, &entry);
                 if let Some(t) = trace {
@@ -1084,7 +1085,7 @@ impl ServeEngine {
                 Kernel::new(op, entry.tier)
             }
             None => {
-                self.metrics.record_artifact_miss();
+                self.metrics.add(Metric::ArtifactMisses, 1);
                 let (effective, tier) = self.cold_compile_config();
                 let span = trace.map(|t| t.start("cold_compile"));
                 let started = Instant::now();
@@ -1100,7 +1101,7 @@ impl ServeEngine {
                 // metric aligned with the ground-truth counters in
                 // `unit_core::tuner::stats`.
                 if op.tensorized && effective.searches(&state.target.desc.style) {
-                    self.metrics.record_tuner_search();
+                    self.metrics.add(Metric::TunerSearches, 1);
                 }
                 self.metrics.record_cold_start(tier, started.elapsed());
                 let kernel = Kernel::new(op, tier);
@@ -1204,12 +1205,12 @@ impl ServeEngine {
         };
         match journal.append(std::slice::from_ref(&record)) {
             Ok(compacted) => {
-                self.metrics.record_journal_append();
+                self.metrics.add(Metric::JournalAppends, 1);
                 if compacted {
-                    self.metrics.record_journal_compaction();
+                    self.metrics.add(Metric::JournalCompactions, 1);
                 }
             }
-            Err(_) => self.metrics.record_journal_error(),
+            Err(_) => self.metrics.add(Metric::JournalErrors, 1),
         }
     }
 
@@ -1226,7 +1227,7 @@ impl ServeEngine {
             enqueued: Instant::now(),
         };
         if self.retunes.push(job) {
-            self.metrics.record_retune_queued();
+            self.metrics.add(Metric::RetuneQueued, 1);
         }
     }
 
@@ -1282,7 +1283,7 @@ impl ServeEngine {
     /// Journals the upgrade for peer replicas.
     fn retune_traced(&self, job: &RetuneJob, trace: Option<&TraceHandle>) -> bool {
         let Some(state) = self.targets.get(&job.target) else {
-            self.metrics.record_retune_completed();
+            self.metrics.add(Metric::RetuneCompleted, 1);
             return false;
         };
         let op = self.compile(&state.target, self.tuning, &job.workload);
@@ -1290,7 +1291,7 @@ impl ServeEngine {
             record_stage_spans(t, op.stages, "path=retune_full_tier");
         }
         if op.tensorized && self.tuning.searches(&state.target.desc.style) {
-            self.metrics.record_tuner_search();
+            self.metrics.add(Metric::TunerSearches, 1);
         }
         let kernel = Kernel::for_swap(op, TuneTier::Full);
         let entry = kernel.entry(self.tuning);
@@ -1327,11 +1328,11 @@ impl ServeEngine {
         if let Some(span) = swap_span {
             span.finish(format!("upgraded_namespaces={}", upgraded.len()));
         }
-        self.metrics.record_retune_completed();
+        self.metrics.add(Metric::RetuneCompleted, 1);
         if upgraded.is_empty() {
             return false;
         }
-        self.metrics.record_retune_swap();
+        self.metrics.add(Metric::RetuneSwaps, 1);
         for model in &upgraded {
             self.journal_put(model, &job.target, entry.clone());
         }

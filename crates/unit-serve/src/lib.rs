@@ -44,11 +44,12 @@
 //!   engine's swap lock) without a serving stall — and journals the
 //!   upgrade so peer replicas swap too. Outputs are bit-identical
 //!   across tiers; only latency changes.
-//! * [`metrics`] — counters, queue-depth gauges, artifact/kernel cache
-//!   hit rates, re-tune/swap counters, epilogue-fusion counters, a
-//!   per-`(model, target)` hot-pair table and fixed-bucket latency
-//!   histograms (request latency plus tier-split cold-start latency)
-//!   with a stable text rendering.
+//! * [`metrics`] — one table declares every counter and gauge (name,
+//!   kind, doc) once; their storage, getters, the stable v6 text
+//!   rendering and the Prometheus exposition all come from it. Beside
+//!   the table: derived hit rates, a per-`(model, target)` hot-pair
+//!   table and fixed-bucket latency histograms (request latency plus
+//!   tier-split cold-start latency).
 //! * [`trace`] — request-scoped tracing: every request gets a trace id
 //!   at admission; stages append timestamped spans (admission → queue →
 //!   batch → cache lookup → tape dispatch → epilogue → reply; compile

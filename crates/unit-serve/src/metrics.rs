@@ -2,6 +2,12 @@
 //! histogram with a **stable text rendering** so tests (and scrapers) can
 //! assert on the exact output.
 //!
+//! Every counter and gauge is one row of the `metric_table!` invocation
+//! below: doc, `Metric` variant, getter, rendered name and Prometheus
+//! kind. Storage, getters and the Prometheus exposition come from that
+//! table; the v6 text rendering walks `TEXT_ROWS`, which places the
+//! table metrics among the derived lines in the pinned v6 order.
+//!
 //! Everything is lock-free atomics — the scheduler's worker threads
 //! record into one shared registry without contending on a mutex — with
 //! one exception: the **hot-pair table** (per-`(model, target)` request
@@ -34,50 +40,219 @@ pub const LATENCY_BUCKETS_US: [u64; 19] = [
 /// adversarial model-id churn cannot grow the table without bound.
 pub const HOT_PAIR_CAPACITY: usize = 256;
 
+/// Expands the metric table: each row is `/// doc` then
+/// `Variant getter "rendered_name" counter|gauge;`.
+macro_rules! metric_table {
+    ($($(#[$doc:meta])+ $variant:ident $getter:ident $name:literal $kind:ident;)+) => {
+        /// One counter or gauge of [`ServeMetrics`]: the index of its
+        /// atomic slot. Declaration order is Prometheus order.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Metric {
+            $($(#[$doc])+ $variant,)+
+        }
+
+        impl Metric {
+            /// Every metric, in declaration order.
+            pub(crate) const ALL: &'static [Metric] = &[$(Metric::$variant),+];
+
+            /// The rendered name (`unit_serve_`-prefixed in Prometheus).
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $(Metric::$variant => $name,)+
+                }
+            }
+
+            /// The Prometheus type: `counter` or `gauge`.
+            pub(crate) fn kind(self) -> &'static str {
+                match self {
+                    $(Metric::$variant => stringify!($kind),)+
+                }
+            }
+        }
+
+        impl ServeMetrics {
+            $(
+                $(#[$doc])+
+                #[must_use]
+                pub fn $getter(&self) -> u64 {
+                    self.get(Metric::$variant)
+                }
+            )+
+        }
+    };
+}
+
+metric_table! {
+    /// Requests admitted to the queue (rolled-back submissions excluded).
+    Submitted submitted "requests_submitted" counter;
+    /// Requests rejected at admission (queue full, unknown target,
+    /// shutdown).
+    Rejected rejected "requests_rejected" counter;
+    /// Completed requests (successful only).
+    Completed completed "requests_completed" counter;
+    /// Failed requests.
+    Failed failed "requests_failed" counter;
+    /// Batches handed to a worker.
+    Batches batches "batches_executed" counter;
+    /// Requests handed to workers, summed over batches.
+    BatchedRequests batched_requests "batched_requests" counter;
+    /// Compiles the artifact store had a replayable entry for.
+    ArtifactHits artifact_hits "artifact_hits" counter;
+    /// Compiles the artifact store had no entry for (cold compiles).
+    ArtifactMisses artifact_misses "artifact_misses" counter;
+    /// Compiles the in-memory executable-kernel cache served.
+    KernelHits kernel_hits "kernel_cache_hits" counter;
+    /// Compiles the in-memory executable-kernel cache missed.
+    KernelMisses kernel_misses "kernel_cache_misses" counter;
+    /// Tuner searches triggered by cold compiles.
+    TunerSearches tuner_searches "tuner_searches" counter;
+    /// Kernels lowered to instruction tapes (tape-cache misses).
+    TapeCompiles tape_compiles "tape_compiles" counter;
+    /// Tape executions. With batch fusion this is *less* than the
+    /// request count: a fused batch of N requests is one dispatch.
+    TapeDispatches tape_dispatches "tape_dispatches" counter;
+    /// Requests served through fused (multi-request) tape dispatches.
+    TapeFusedRequests tape_fused_requests "tape_fused_requests" counter;
+    /// Tape instructions retired across all dispatches.
+    TapeOpsRetired tape_ops_retired "tape_ops_retired" counter;
+    /// Run-time residue-guard checks across all dispatches.
+    TapeGuardChecks tape_guard_checks "tape_guard_checks" counter;
+    /// Tensorized-intrinsic dispatches across all tape runs.
+    TapeIntrinDispatches tape_intrin_dispatches "tape_intrin_dispatches" counter;
+    /// Kernels built with a fused epilogue chain.
+    EpilogueFusedKernels epilogue_fused_kernels "epilogue_fused_kernels" counter;
+    /// Epilogue ops executing inside kernel dispatches (summed over
+    /// fused kernels) instead of as per-op interpreter passes.
+    EpilogueOpsEliminated epilogue_ops_eliminated "epilogue_ops_eliminated" counter;
+    /// Dispatcher batch-window wake-ups. Flat on an idle scheduler: the
+    /// dispatcher blocks on `recv` rather than spinning.
+    DispatcherWakes dispatcher_wakes "dispatcher_wakes" counter;
+    /// Tuning decisions appended to the shared journal.
+    JournalAppends journal_appends "journal_appends" counter;
+    /// Journal records tailed from other replicas and applied here.
+    JournalTailedRecords journal_tailed_records "journal_tailed_records" counter;
+    /// Journal compactions this replica triggered.
+    JournalCompactions journal_compactions "journal_compactions" counter;
+    /// Failed journal operations (serving continued without them).
+    JournalErrors journal_errors "journal_errors" counter;
+    /// HTTP requests accepted and parsed by the front-end.
+    HttpRequests http_requests "http_requests" counter;
+    /// HTTP responses with a non-2xx status.
+    HttpErrors http_errors "http_errors" counter;
+    /// Background re-tune jobs enqueued.
+    RetuneQueued retune_queued "retune_queued" counter;
+    /// Background re-tune jobs that ran to completion.
+    RetuneCompleted retune_completed "retune_completed" counter;
+    /// Completed re-tunes that hot-swapped a cold-tier kernel.
+    RetuneSwaps retune_swaps "retune_swaps" counter;
+    /// Request traces finished.
+    TracesRecorded traces_recorded "traces_recorded" counter;
+    /// Request traces dropped on trace-ring overflow.
+    TraceDropped trace_dropped "trace_dropped" counter;
+    /// Hot-pair entries evicted by the [`HOT_PAIR_CAPACITY`] bound.
+    HotPairsEvicted hot_pairs_evicted "hot_pairs_evicted" counter;
+    /// Current queue depth (admitted, not yet completed).
+    QueueDepth queue_depth "queue_depth" gauge;
+    /// Highest queue depth seen.
+    QueueDepthPeak queue_depth_peak "queue_depth_peak" gauge;
+}
+
+/// One entry of the v6 text layout.
+enum Row {
+    /// A table metric: `<name> <value>`.
+    Plain(Metric),
+    /// `<name> <value>` for a value derived from the registry.
+    Derived(&'static str, fn(&ServeMetrics) -> String),
+    /// `<prefix>_p50_us`, `<prefix>_p95_us` and `<prefix>_p99_us`.
+    Quantiles(&'static str, fn(&ServeMetrics) -> &LatencyHistogram),
+    /// `<prefix>_compiles`, `<prefix>_p50_us` and `<prefix>_p95_us` of
+    /// one tier's cold-start histogram.
+    ColdStart(&'static str, TuneTier),
+}
+
+/// The pinned v6 text layout. Its order is not table order, and
+/// `batched_requests` shows only through `batch_size_mean`.
+const TEXT_ROWS: &[Row] = &[
+    Row::Plain(Metric::Submitted),
+    Row::Plain(Metric::Rejected),
+    Row::Plain(Metric::Completed),
+    Row::Plain(Metric::Failed),
+    Row::Plain(Metric::Batches),
+    Row::Derived("batch_size_mean", |m| {
+        let batches = m.batches();
+        let mean = if batches == 0 {
+            0.0
+        } else {
+            m.batched_requests() as f64 / batches as f64
+        };
+        format!("{mean:.2}")
+    }),
+    Row::Plain(Metric::QueueDepth),
+    Row::Plain(Metric::QueueDepthPeak),
+    Row::Quantiles("latency", ServeMetrics::latency),
+    Row::Quantiles("queue_wait", ServeMetrics::queue_wait),
+    Row::Quantiles("service", ServeMetrics::service),
+    Row::Plain(Metric::ArtifactHits),
+    Row::Plain(Metric::ArtifactMisses),
+    Row::Derived("artifact_hit_rate", |m| {
+        format!("{:.3}", m.artifact_hit_rate())
+    }),
+    Row::Plain(Metric::KernelHits),
+    Row::Plain(Metric::KernelMisses),
+    Row::Derived("kernel_cache_hit_rate", |m| {
+        format!("{:.3}", m.kernel_hit_rate())
+    }),
+    Row::Plain(Metric::TunerSearches),
+    Row::Plain(Metric::TapeCompiles),
+    Row::Plain(Metric::TapeDispatches),
+    Row::Plain(Metric::TapeFusedRequests),
+    Row::Plain(Metric::TapeOpsRetired),
+    Row::Plain(Metric::TapeGuardChecks),
+    Row::Plain(Metric::TapeIntrinDispatches),
+    Row::Plain(Metric::EpilogueFusedKernels),
+    Row::Plain(Metric::EpilogueOpsEliminated),
+    Row::Plain(Metric::DispatcherWakes),
+    Row::Plain(Metric::JournalAppends),
+    Row::Plain(Metric::JournalTailedRecords),
+    Row::Plain(Metric::JournalCompactions),
+    Row::Plain(Metric::JournalErrors),
+    Row::Plain(Metric::HttpRequests),
+    Row::Plain(Metric::HttpErrors),
+    Row::Plain(Metric::RetuneQueued),
+    Row::Plain(Metric::RetuneCompleted),
+    Row::Plain(Metric::RetuneSwaps),
+    Row::ColdStart("cold_start_cold_tier", TuneTier::Cold),
+    Row::ColdStart("cold_start_full_tier", TuneTier::Full),
+    Row::Derived("hot_pairs_tracked", |m| m.hot_pairs_tracked().to_string()),
+    Row::Plain(Metric::HotPairsEvicted),
+    Row::Plain(Metric::TracesRecorded),
+    Row::Plain(Metric::TraceDropped),
+];
+
 /// The serving metrics registry. One instance per engine; shared with
 /// the scheduler and its workers via `Arc`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ServeMetrics {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    artifact_hits: AtomicU64,
-    artifact_misses: AtomicU64,
-    kernel_hits: AtomicU64,
-    kernel_misses: AtomicU64,
-    tuner_searches: AtomicU64,
-    tape_compiles: AtomicU64,
-    tape_dispatches: AtomicU64,
-    tape_fused_requests: AtomicU64,
-    epilogue_fused_kernels: AtomicU64,
-    epilogue_ops_eliminated: AtomicU64,
-    dispatcher_wakes: AtomicU64,
-    journal_appends: AtomicU64,
-    journal_tailed_records: AtomicU64,
-    journal_compactions: AtomicU64,
-    journal_errors: AtomicU64,
-    http_requests: AtomicU64,
-    http_errors: AtomicU64,
-    retune_queued: AtomicU64,
-    retune_completed: AtomicU64,
-    retune_swaps: AtomicU64,
-    tape_ops_retired: AtomicU64,
-    tape_guard_checks: AtomicU64,
-    tape_intrin_dispatches: AtomicU64,
-    traces_recorded: AtomicU64,
-    trace_dropped: AtomicU64,
-    hot_pairs_evicted: AtomicU64,
+    values: [AtomicU64; Metric::ALL.len()],
     latency: LatencyHistogram,
     queue_wait: LatencyHistogram,
     service: LatencyHistogram,
-    cold_start_cold: LatencyHistogram,
-    cold_start_full: LatencyHistogram,
+    /// Indexed by [`TuneTier`] (`Cold` then `Full`).
+    cold_start: [LatencyHistogram; 2],
     hot_pairs: Mutex<BTreeMap<(String, String), u64>>,
+}
+
+impl Default for ServeMetrics {
+    fn default() -> ServeMetrics {
+        ServeMetrics {
+            values: std::array::from_fn(|_| AtomicU64::new(0)),
+            latency: LatencyHistogram::default(),
+            queue_wait: LatencyHistogram::default(),
+            service: LatencyHistogram::default(),
+            cold_start: Default::default(),
+            hot_pairs: Mutex::default(),
+        }
+    }
 }
 
 /// Fixed-bucket latency histogram (see [`LATENCY_BUCKETS_US`]).
@@ -129,6 +304,34 @@ impl LatencyHistogram {
         }
         Some(u64::MAX)
     }
+
+    /// [`LatencyHistogram::quantile`] as the text rendering shows it:
+    /// `none` when empty, `>` the last bound when saturated.
+    fn quantile_text(&self, p: f64) -> String {
+        match self.quantile(p) {
+            None => "none".to_string(),
+            Some(u64::MAX) => format!(">{}", LATENCY_BUCKETS_US[LATENCY_BUCKETS_US.len() - 1]),
+            Some(v) => v.to_string(),
+        }
+    }
+
+    /// Append this histogram's Prometheus lines under `unit_serve_<name>`.
+    fn write_prometheus(&self, out: &mut String, name: &str) {
+        out.push_str(&format!("# TYPE unit_serve_{name} histogram\n"));
+        let mut cumulative = 0u64;
+        for (i, bound) in LATENCY_BUCKETS_US.iter().enumerate() {
+            cumulative += self.buckets[i].load(Ordering::Relaxed);
+            out.push_str(&format!(
+                "unit_serve_{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"
+            ));
+        }
+        cumulative += self.buckets[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
+        out.push_str(&format!(
+            "unit_serve_{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"
+        ));
+        out.push_str(&format!("unit_serve_{name}_sum {}\n", self.sum_us()));
+        out.push_str(&format!("unit_serve_{name}_count {cumulative}\n"));
+    }
 }
 
 impl ServeMetrics {
@@ -138,30 +341,45 @@ impl ServeMetrics {
         ServeMetrics::default()
     }
 
+    fn slot(&self, metric: Metric) -> &AtomicU64 {
+        &self.values[metric as usize]
+    }
+
+    /// The current value of `metric`.
+    pub(crate) fn get(&self, metric: Metric) -> u64 {
+        self.slot(metric).load(Ordering::Relaxed)
+    }
+
+    /// Add `n` to `metric`.
+    pub(crate) fn add(&self, metric: Metric, n: u64) {
+        self.slot(metric).fetch_add(n, Ordering::Relaxed);
+    }
+
     /// A request was admitted to the queue.
     pub fn record_submit(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+        self.add(Metric::Submitted, 1);
+        let depth = self
+            .slot(Metric::QueueDepth)
+            .fetch_add(1, Ordering::Relaxed)
+            + 1;
+        self.slot(Metric::QueueDepthPeak)
+            .fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Roll back a [`ServeMetrics::record_submit`] whose enqueue failed
-    /// (queue full on `try_submit`, or shutdown).
+    /// (queue full on `try_submit`, or shutdown): the request counts as
+    /// rejected instead of submitted.
     pub fn record_unsubmit(&self) {
-        self.submitted.fetch_sub(1, Ordering::Relaxed);
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A request was rejected at admission (queue full / unknown target).
-    pub fn record_reject(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        self.slot(Metric::Submitted).fetch_sub(1, Ordering::Relaxed);
+        self.slot(Metric::QueueDepth)
+            .fetch_sub(1, Ordering::Relaxed);
+        self.add(Metric::Rejected, 1);
     }
 
     /// A batch of `size` requests was handed to a worker.
     pub fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
+        self.add(Metric::Batches, 1);
+        self.add(Metric::BatchedRequests, size as u64);
     }
 
     /// A request finished (successfully or not) after `queue_wait` in
@@ -169,11 +387,12 @@ impl ServeMetrics {
     /// historical histogram) is their sum; the split histograms let a
     /// p99 regression be attributed to queueing vs. execution.
     pub fn record_completion(&self, queue_wait: Duration, service: Duration, ok: bool) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.slot(Metric::QueueDepth)
+            .fetch_sub(1, Ordering::Relaxed);
         if ok {
-            self.completed.fetch_add(1, Ordering::Relaxed);
+            self.add(Metric::Completed, 1);
         } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
+            self.add(Metric::Failed, 1);
         }
         let wait_us = u64::try_from(queue_wait.as_micros()).unwrap_or(u64::MAX);
         let service_us = u64::try_from(service.as_micros()).unwrap_or(u64::MAX);
@@ -182,44 +401,13 @@ impl ServeMetrics {
         self.service.record(service_us);
     }
 
-    /// The artifact store had a replayable entry for a compile.
-    pub fn record_artifact_hit(&self) {
-        self.artifact_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The artifact store had no entry; a cold compile was needed.
-    pub fn record_artifact_miss(&self) {
-        self.artifact_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The in-memory executable-kernel cache served a compile.
-    pub fn record_kernel_hit(&self) {
-        self.kernel_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The in-memory executable-kernel cache missed.
-    pub fn record_kernel_miss(&self) {
-        self.kernel_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A compile actually searched the tuning space (cold, multi-candidate).
-    pub fn record_tuner_search(&self) {
-        self.tuner_searches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A kernel was lowered to an instruction tape (tape-cache miss).
-    pub fn record_tape_compile(&self) {
-        self.tape_compiles.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// One tape execution served `requests` requests (`1` for an
     /// unfused dispatch, more when a worker fused a same-shape GEMM
     /// batch into a single batched-GEMM tape run).
     pub fn record_tape_dispatch(&self, requests: usize) {
-        self.tape_dispatches.fetch_add(1, Ordering::Relaxed);
+        self.add(Metric::TapeDispatches, 1);
         if requests > 1 {
-            self.tape_fused_requests
-                .fetch_add(requests as u64, Ordering::Relaxed);
+            self.add(Metric::TapeFusedRequests, requests as u64);
         }
     }
 
@@ -228,67 +416,8 @@ impl ServeMetrics {
     /// layernorm steps execute inside the kernel dispatch instead of as
     /// per-op interpreter passes.
     pub fn record_epilogue_fusion(&self, ops: usize) {
-        self.epilogue_fused_kernels.fetch_add(1, Ordering::Relaxed);
-        self.epilogue_ops_eliminated
-            .fetch_add(ops as u64, Ordering::Relaxed);
-    }
-
-    /// The scheduler's dispatcher thread woke up to form a batch
-    /// window. On an idle scheduler this stays flat — the dispatcher
-    /// blocks on `recv` rather than spinning — which
-    /// `scheduler::tests` asserts as the no-busy-spin proxy.
-    pub fn record_dispatcher_wake(&self) {
-        self.dispatcher_wakes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A tuning decision was appended to the shared journal.
-    pub fn record_journal_append(&self) {
-        self.journal_appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `records` journal records from other replicas were tailed and
-    /// applied to this engine's caches.
-    pub fn record_journal_tailed(&self, records: u64) {
-        self.journal_tailed_records
-            .fetch_add(records, Ordering::Relaxed);
-    }
-
-    /// A journal compaction ran (triggered by this replica).
-    pub fn record_journal_compaction(&self) {
-        self.journal_compactions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A journal operation failed; serving continued on in-memory state.
-    pub fn record_journal_error(&self) {
-        self.journal_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The HTTP front-end accepted and parsed a request.
-    pub fn record_http_request(&self) {
-        self.http_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The HTTP front-end answered with a non-2xx status.
-    pub fn record_http_error(&self) {
-        self.http_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A background re-tune job was enqueued (cold-tier artifact served;
-    /// full-tier upgrade pending).
-    pub fn record_retune_queued(&self) {
-        self.retune_queued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A background re-tune job ran to completion (whether or not it
-    /// produced a swap — the incumbent may already have been full-tier).
-    pub fn record_retune_completed(&self) {
-        self.retune_completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A completed re-tune atomically swapped a cold-tier kernel for its
-    /// full-tier replacement (artifact entry + exec-cache slot together).
-    pub fn record_retune_swap(&self) {
-        self.retune_swaps.fetch_add(1, Ordering::Relaxed);
+        self.add(Metric::EpilogueFusedKernels, 1);
+        self.add(Metric::EpilogueOpsEliminated, ops as u64);
     }
 
     /// A cold compile finished after `latency` at `tier`. Feeds the
@@ -316,7 +445,7 @@ impl ServeMetrics {
                 .map(|(key, _)| key.clone());
             if let Some(key) = coldest {
                 pairs.remove(&key);
-                self.hot_pairs_evicted.fetch_add(1, Ordering::Relaxed);
+                self.add(Metric::HotPairsEvicted, 1);
             }
         }
     }
@@ -325,159 +454,30 @@ impl ServeMetrics {
     /// residue-guard conditions and ran `intrins` tensorized dispatches
     /// (deltas from `unit_interp::tape::TapeProfile`).
     pub fn record_tape_profile(&self, ops: u64, guards: u64, intrins: u64) {
-        self.tape_ops_retired.fetch_add(ops, Ordering::Relaxed);
-        self.tape_guard_checks.fetch_add(guards, Ordering::Relaxed);
-        self.tape_intrin_dispatches
-            .fetch_add(intrins, Ordering::Relaxed);
+        self.add(Metric::TapeOpsRetired, ops);
+        self.add(Metric::TapeGuardChecks, guards);
+        self.add(Metric::TapeIntrinDispatches, intrins);
     }
 
     /// A request trace finished; `dropped` when publishing it overflowed
     /// the trace ring (see `trace::TraceCollector::finish`).
     pub fn record_trace(&self, dropped: bool) {
-        self.traces_recorded.fetch_add(1, Ordering::Relaxed);
+        self.add(Metric::TracesRecorded, 1);
         if dropped {
-            self.trace_dropped.fetch_add(1, Ordering::Relaxed);
+            self.add(Metric::TraceDropped, 1);
         }
-    }
-
-    /// Completed requests (successful only).
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Failed requests.
-    #[must_use]
-    pub fn failed(&self) -> u64 {
-        self.failed.load(Ordering::Relaxed)
-    }
-
-    /// Requests rejected at admission.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Current queue depth (admitted, not yet completed).
-    #[must_use]
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
     }
 
     /// Artifact-store hit rate over all compile lookups (0 when none).
     #[must_use]
     pub fn artifact_hit_rate(&self) -> f64 {
-        rate(
-            self.artifact_hits.load(Ordering::Relaxed),
-            self.artifact_misses.load(Ordering::Relaxed),
-        )
+        rate(self.artifact_hits(), self.artifact_misses())
     }
 
     /// Executable-kernel cache hit rate (0 when no lookups).
     #[must_use]
     pub fn kernel_hit_rate(&self) -> f64 {
-        rate(
-            self.kernel_hits.load(Ordering::Relaxed),
-            self.kernel_misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Tuner searches triggered by cold compiles.
-    #[must_use]
-    pub fn tuner_searches(&self) -> u64 {
-        self.tuner_searches.load(Ordering::Relaxed)
-    }
-
-    /// Kernels lowered to instruction tapes (tape-cache misses).
-    #[must_use]
-    pub fn tape_compiles(&self) -> u64 {
-        self.tape_compiles.load(Ordering::Relaxed)
-    }
-
-    /// Tape executions. With batch fusion this is *less* than the
-    /// request count: a fused batch of N requests is one dispatch.
-    #[must_use]
-    pub fn tape_dispatches(&self) -> u64 {
-        self.tape_dispatches.load(Ordering::Relaxed)
-    }
-
-    /// Requests served through fused (multi-request) tape dispatches.
-    #[must_use]
-    pub fn tape_fused_requests(&self) -> u64 {
-        self.tape_fused_requests.load(Ordering::Relaxed)
-    }
-
-    /// Kernels built with a fused epilogue chain.
-    #[must_use]
-    pub fn epilogue_fused_kernels(&self) -> u64 {
-        self.epilogue_fused_kernels.load(Ordering::Relaxed)
-    }
-
-    /// Epilogue ops executing inside kernel dispatches (summed over
-    /// fused kernels) instead of as per-op interpreter passes.
-    #[must_use]
-    pub fn epilogue_ops_eliminated(&self) -> u64 {
-        self.epilogue_ops_eliminated.load(Ordering::Relaxed)
-    }
-
-    /// Dispatcher batch-window wake-ups.
-    #[must_use]
-    pub fn dispatcher_wakes(&self) -> u64 {
-        self.dispatcher_wakes.load(Ordering::Relaxed)
-    }
-
-    /// Tuning decisions appended to the shared journal.
-    #[must_use]
-    pub fn journal_appends(&self) -> u64 {
-        self.journal_appends.load(Ordering::Relaxed)
-    }
-
-    /// Journal records tailed from other replicas and applied here.
-    #[must_use]
-    pub fn journal_tailed_records(&self) -> u64 {
-        self.journal_tailed_records.load(Ordering::Relaxed)
-    }
-
-    /// Journal compactions this replica triggered.
-    #[must_use]
-    pub fn journal_compactions(&self) -> u64 {
-        self.journal_compactions.load(Ordering::Relaxed)
-    }
-
-    /// Failed journal operations (serving continued without them).
-    #[must_use]
-    pub fn journal_errors(&self) -> u64 {
-        self.journal_errors.load(Ordering::Relaxed)
-    }
-
-    /// HTTP requests accepted and parsed by the front-end.
-    #[must_use]
-    pub fn http_requests(&self) -> u64 {
-        self.http_requests.load(Ordering::Relaxed)
-    }
-
-    /// HTTP responses with a non-2xx status.
-    #[must_use]
-    pub fn http_errors(&self) -> u64 {
-        self.http_errors.load(Ordering::Relaxed)
-    }
-
-    /// Background re-tune jobs enqueued.
-    #[must_use]
-    pub fn retune_queued(&self) -> u64 {
-        self.retune_queued.load(Ordering::Relaxed)
-    }
-
-    /// Background re-tune jobs that ran to completion.
-    #[must_use]
-    pub fn retune_completed(&self) -> u64 {
-        self.retune_completed.load(Ordering::Relaxed)
-    }
-
-    /// Completed re-tunes that hot-swapped a cold-tier kernel.
-    #[must_use]
-    pub fn retune_swaps(&self) -> u64 {
-        self.retune_swaps.load(Ordering::Relaxed)
+        rate(self.kernel_hits(), self.kernel_misses())
     }
 
     /// Requests recorded against `(model, target)` in the hot-pair table.
@@ -507,42 +507,6 @@ impl ServeMetrics {
         &self.service
     }
 
-    /// Tape instructions retired across all dispatches.
-    #[must_use]
-    pub fn tape_ops_retired(&self) -> u64 {
-        self.tape_ops_retired.load(Ordering::Relaxed)
-    }
-
-    /// Run-time residue-guard checks across all dispatches.
-    #[must_use]
-    pub fn tape_guard_checks(&self) -> u64 {
-        self.tape_guard_checks.load(Ordering::Relaxed)
-    }
-
-    /// Tensorized-intrinsic dispatches across all tape runs.
-    #[must_use]
-    pub fn tape_intrin_dispatches(&self) -> u64 {
-        self.tape_intrin_dispatches.load(Ordering::Relaxed)
-    }
-
-    /// Request traces finished.
-    #[must_use]
-    pub fn traces_recorded(&self) -> u64 {
-        self.traces_recorded.load(Ordering::Relaxed)
-    }
-
-    /// Request traces dropped on trace-ring overflow.
-    #[must_use]
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Hot-pair entries evicted by the [`HOT_PAIR_CAPACITY`] bound.
-    #[must_use]
-    pub fn hot_pairs_evicted(&self) -> u64 {
-        self.hot_pairs_evicted.load(Ordering::Relaxed)
-    }
-
     /// Currently tracked hot-pair entries (bounded by
     /// [`HOT_PAIR_CAPACITY`]).
     #[must_use]
@@ -553,10 +517,7 @@ impl ServeMetrics {
     /// The cold-start (first compile) latency histogram for `tier`.
     #[must_use]
     pub fn cold_start(&self, tier: TuneTier) -> &LatencyHistogram {
-        match tier {
-            TuneTier::Cold => &self.cold_start_cold,
-            TuneTier::Full => &self.cold_start_full,
-        }
+        &self.cold_start[tier as usize]
     }
 
     /// Successful requests per second over `elapsed` wall clock.
@@ -574,131 +535,26 @@ impl ServeMetrics {
     /// exact shape, so treat any change as a format break.
     #[must_use]
     pub fn render(&self) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let q = |p: f64| match self.latency.quantile(p) {
-            None => "none".to_string(),
-            Some(u64::MAX) => format!(">{}", LATENCY_BUCKETS_US[LATENCY_BUCKETS_US.len() - 1]),
-            Some(v) => v.to_string(),
-        };
-        let batches = load(&self.batches);
-        let mean_batch = if batches == 0 {
-            0.0
-        } else {
-            load(&self.batched_requests) as f64 / batches as f64
-        };
-        let hist_q = |h: &LatencyHistogram, p: f64| match h.quantile(p) {
-            None => "none".to_string(),
-            Some(u64::MAX) => format!(">{}", LATENCY_BUCKETS_US[LATENCY_BUCKETS_US.len() - 1]),
-            Some(v) => v.to_string(),
-        };
-        let hot_pairs = lock_recovering(&self.hot_pairs).len();
         let mut out = String::from("# unit-serve metrics v6\n");
-        let mut line = |k: &str, v: String| {
-            out.push_str(k);
-            out.push(' ');
-            out.push_str(&v);
-            out.push('\n');
-        };
-        line("requests_submitted", load(&self.submitted).to_string());
-        line("requests_rejected", load(&self.rejected).to_string());
-        line("requests_completed", load(&self.completed).to_string());
-        line("requests_failed", load(&self.failed).to_string());
-        line("batches_executed", batches.to_string());
-        line("batch_size_mean", format!("{mean_batch:.2}"));
-        line("queue_depth", load(&self.queue_depth).to_string());
-        line("queue_depth_peak", load(&self.queue_depth_peak).to_string());
-        line("latency_p50_us", q(0.50));
-        line("latency_p95_us", q(0.95));
-        line("latency_p99_us", q(0.99));
-        line("queue_wait_p50_us", hist_q(&self.queue_wait, 0.50));
-        line("queue_wait_p95_us", hist_q(&self.queue_wait, 0.95));
-        line("queue_wait_p99_us", hist_q(&self.queue_wait, 0.99));
-        line("service_p50_us", hist_q(&self.service, 0.50));
-        line("service_p95_us", hist_q(&self.service, 0.95));
-        line("service_p99_us", hist_q(&self.service, 0.99));
-        line("artifact_hits", load(&self.artifact_hits).to_string());
-        line("artifact_misses", load(&self.artifact_misses).to_string());
-        line(
-            "artifact_hit_rate",
-            format!("{:.3}", self.artifact_hit_rate()),
-        );
-        line("kernel_cache_hits", load(&self.kernel_hits).to_string());
-        line("kernel_cache_misses", load(&self.kernel_misses).to_string());
-        line(
-            "kernel_cache_hit_rate",
-            format!("{:.3}", self.kernel_hit_rate()),
-        );
-        line("tuner_searches", load(&self.tuner_searches).to_string());
-        line("tape_compiles", load(&self.tape_compiles).to_string());
-        line("tape_dispatches", load(&self.tape_dispatches).to_string());
-        line(
-            "tape_fused_requests",
-            load(&self.tape_fused_requests).to_string(),
-        );
-        line("tape_ops_retired", load(&self.tape_ops_retired).to_string());
-        line(
-            "tape_guard_checks",
-            load(&self.tape_guard_checks).to_string(),
-        );
-        line(
-            "tape_intrin_dispatches",
-            load(&self.tape_intrin_dispatches).to_string(),
-        );
-        line(
-            "epilogue_fused_kernels",
-            load(&self.epilogue_fused_kernels).to_string(),
-        );
-        line(
-            "epilogue_ops_eliminated",
-            load(&self.epilogue_ops_eliminated).to_string(),
-        );
-        line("dispatcher_wakes", load(&self.dispatcher_wakes).to_string());
-        line("journal_appends", load(&self.journal_appends).to_string());
-        line(
-            "journal_tailed_records",
-            load(&self.journal_tailed_records).to_string(),
-        );
-        line(
-            "journal_compactions",
-            load(&self.journal_compactions).to_string(),
-        );
-        line("journal_errors", load(&self.journal_errors).to_string());
-        line("http_requests", load(&self.http_requests).to_string());
-        line("http_errors", load(&self.http_errors).to_string());
-        line("retune_queued", load(&self.retune_queued).to_string());
-        line("retune_completed", load(&self.retune_completed).to_string());
-        line("retune_swaps", load(&self.retune_swaps).to_string());
-        line(
-            "cold_start_cold_tier_compiles",
-            self.cold_start_cold.count().to_string(),
-        );
-        line(
-            "cold_start_cold_tier_p50_us",
-            hist_q(&self.cold_start_cold, 0.50),
-        );
-        line(
-            "cold_start_cold_tier_p95_us",
-            hist_q(&self.cold_start_cold, 0.95),
-        );
-        line(
-            "cold_start_full_tier_compiles",
-            self.cold_start_full.count().to_string(),
-        );
-        line(
-            "cold_start_full_tier_p50_us",
-            hist_q(&self.cold_start_full, 0.50),
-        );
-        line(
-            "cold_start_full_tier_p95_us",
-            hist_q(&self.cold_start_full, 0.95),
-        );
-        line("hot_pairs_tracked", hot_pairs.to_string());
-        line(
-            "hot_pairs_evicted",
-            load(&self.hot_pairs_evicted).to_string(),
-        );
-        line("traces_recorded", load(&self.traces_recorded).to_string());
-        line("trace_dropped", load(&self.trace_dropped).to_string());
+        let mut line = |key: &str, value: String| out.push_str(&format!("{key} {value}\n"));
+        for row in TEXT_ROWS {
+            match *row {
+                Row::Plain(metric) => line(metric.name(), self.get(metric).to_string()),
+                Row::Derived(name, value) => line(name, value(self)),
+                Row::Quantiles(prefix, hist) => {
+                    for (p, q) in [(50, 0.50), (95, 0.95), (99, 0.99)] {
+                        line(&format!("{prefix}_p{p}_us"), hist(self).quantile_text(q));
+                    }
+                }
+                Row::ColdStart(prefix, tier) => {
+                    let hist = self.cold_start(tier);
+                    line(&format!("{prefix}_compiles"), hist.count().to_string());
+                    for (p, q) in [(50, 0.50), (95, 0.95)] {
+                        line(&format!("{prefix}_p{p}_us"), hist.quantile_text(q));
+                    }
+                }
+            }
+        }
         out
     }
 
@@ -709,80 +565,26 @@ impl ServeMetrics {
     /// the output is deterministic for a given set of recorded values.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = String::new();
-        let mut counter = |name: &str, v: u64| {
+        let mut line = |name: &str, kind: &str, v: u64| {
             out.push_str(&format!(
-                "# TYPE unit_serve_{name} counter\nunit_serve_{name} {v}\n"
+                "# TYPE unit_serve_{name} {kind}\nunit_serve_{name} {v}\n"
             ));
         };
-        counter("requests_submitted", load(&self.submitted));
-        counter("requests_rejected", load(&self.rejected));
-        counter("requests_completed", load(&self.completed));
-        counter("requests_failed", load(&self.failed));
-        counter("batches_executed", load(&self.batches));
-        counter("batched_requests", load(&self.batched_requests));
-        counter("artifact_hits", load(&self.artifact_hits));
-        counter("artifact_misses", load(&self.artifact_misses));
-        counter("kernel_cache_hits", load(&self.kernel_hits));
-        counter("kernel_cache_misses", load(&self.kernel_misses));
-        counter("tuner_searches", load(&self.tuner_searches));
-        counter("tape_compiles", load(&self.tape_compiles));
-        counter("tape_dispatches", load(&self.tape_dispatches));
-        counter("tape_fused_requests", load(&self.tape_fused_requests));
-        counter("tape_ops_retired", load(&self.tape_ops_retired));
-        counter("tape_guard_checks", load(&self.tape_guard_checks));
-        counter("tape_intrin_dispatches", load(&self.tape_intrin_dispatches));
-        counter("epilogue_fused_kernels", load(&self.epilogue_fused_kernels));
-        counter(
-            "epilogue_ops_eliminated",
-            load(&self.epilogue_ops_eliminated),
-        );
-        counter("dispatcher_wakes", load(&self.dispatcher_wakes));
-        counter("journal_appends", load(&self.journal_appends));
-        counter("journal_tailed_records", load(&self.journal_tailed_records));
-        counter("journal_compactions", load(&self.journal_compactions));
-        counter("journal_errors", load(&self.journal_errors));
-        counter("http_requests", load(&self.http_requests));
-        counter("http_errors", load(&self.http_errors));
-        counter("retune_queued", load(&self.retune_queued));
-        counter("retune_completed", load(&self.retune_completed));
-        counter("retune_swaps", load(&self.retune_swaps));
-        counter("traces_recorded", load(&self.traces_recorded));
-        counter("trace_dropped", load(&self.trace_dropped));
-        counter("hot_pairs_evicted", load(&self.hot_pairs_evicted));
-        let mut gauge = |name: &str, v: u64| {
-            out.push_str(&format!(
-                "# TYPE unit_serve_{name} gauge\nunit_serve_{name} {v}\n"
-            ));
-        };
-        gauge("queue_depth", load(&self.queue_depth));
-        gauge("queue_depth_peak", load(&self.queue_depth_peak));
-        gauge(
-            "hot_pairs_tracked",
-            lock_recovering(&self.hot_pairs).len() as u64,
-        );
-        let mut hist = |name: &str, h: &LatencyHistogram| {
-            out.push_str(&format!("# TYPE unit_serve_{name} histogram\n"));
-            let mut cumulative = 0u64;
-            for (i, bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-                cumulative += h.buckets[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "unit_serve_{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"
-                ));
-            }
-            cumulative += h.buckets[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "unit_serve_{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"
-            ));
-            out.push_str(&format!("unit_serve_{name}_sum {}\n", h.sum_us()));
-            out.push_str(&format!("unit_serve_{name}_count {cumulative}\n"));
-        };
-        hist("request_latency_us", &self.latency);
-        hist("queue_wait_us", &self.queue_wait);
-        hist("service_us", &self.service);
-        hist("cold_start_cold_tier_us", &self.cold_start_cold);
-        hist("cold_start_full_tier_us", &self.cold_start_full);
+        for &metric in Metric::ALL {
+            line(metric.name(), metric.kind(), self.get(metric));
+        }
+        let tracked = self.hot_pairs_tracked() as u64;
+        line("hot_pairs_tracked", "gauge", tracked);
+        for (name, hist) in [
+            ("request_latency_us", &self.latency),
+            ("queue_wait_us", &self.queue_wait),
+            ("service_us", &self.service),
+            ("cold_start_cold_tier_us", self.cold_start(TuneTier::Cold)),
+            ("cold_start_full_tier_us", self.cold_start(TuneTier::Full)),
+        ] {
+            hist.write_prometheus(&mut out, name);
+        }
         out
     }
 }
@@ -880,13 +682,13 @@ mod tests {
         m.record_submit();
         m.record_submit();
         m.record_batch(2);
-        m.record_kernel_miss();
-        m.record_artifact_miss();
-        m.record_tuner_search();
+        m.add(Metric::KernelMisses, 1);
+        m.add(Metric::ArtifactMisses, 1);
+        m.add(Metric::TunerSearches, 1);
         m.record_completion(Duration::from_micros(10), Duration::from_micros(30), true);
-        m.record_kernel_hit();
+        m.add(Metric::KernelHits, 1);
         m.record_completion(Duration::from_micros(40), Duration::from_micros(50), true);
-        m.record_tape_compile();
+        m.add(Metric::TapeCompiles, 1);
         m.record_tape_dispatch(1);
         m.record_tape_dispatch(2);
         m.record_tape_profile(120, 4, 6);
@@ -895,17 +697,17 @@ mod tests {
         m.record_trace(true);
         m.record_epilogue_fusion(3);
         m.record_epilogue_fusion(2);
-        m.record_dispatcher_wake();
-        m.record_journal_append();
-        m.record_journal_tailed(3);
-        m.record_journal_compaction();
-        m.record_http_request();
-        m.record_http_request();
-        m.record_http_error();
-        m.record_retune_queued();
-        m.record_retune_queued();
-        m.record_retune_completed();
-        m.record_retune_swap();
+        m.add(Metric::DispatcherWakes, 1);
+        m.add(Metric::JournalAppends, 1);
+        m.add(Metric::JournalTailedRecords, 3);
+        m.add(Metric::JournalCompactions, 1);
+        m.add(Metric::HttpRequests, 1);
+        m.add(Metric::HttpRequests, 1);
+        m.add(Metric::HttpErrors, 1);
+        m.add(Metric::RetuneQueued, 1);
+        m.add(Metric::RetuneQueued, 1);
+        m.add(Metric::RetuneCompleted, 1);
+        m.add(Metric::RetuneSwaps, 1);
         m.record_cold_start(TuneTier::Cold, Duration::from_micros(40));
         m.record_cold_start(TuneTier::Full, Duration::from_micros(900));
         m.record_request_pair("convnet", "cpu");
@@ -1242,5 +1044,104 @@ unit_serve_cold_start_full_tier_us_count 0
         let rps = m.throughput_rps(Duration::from_secs(2));
         assert!((rps - 5.0).abs() < 1e-9);
         assert_eq!(m.throughput_rps(Duration::ZERO), 0.0);
+    }
+
+    #[test]
+    fn table_getters_and_both_renderings_agree() {
+        type Getter = fn(&ServeMetrics) -> u64;
+        let getters: [(Metric, Getter); 34] = [
+            (Metric::Submitted, ServeMetrics::submitted),
+            (Metric::Rejected, ServeMetrics::rejected),
+            (Metric::Completed, ServeMetrics::completed),
+            (Metric::Failed, ServeMetrics::failed),
+            (Metric::Batches, ServeMetrics::batches),
+            (Metric::BatchedRequests, ServeMetrics::batched_requests),
+            (Metric::ArtifactHits, ServeMetrics::artifact_hits),
+            (Metric::ArtifactMisses, ServeMetrics::artifact_misses),
+            (Metric::KernelHits, ServeMetrics::kernel_hits),
+            (Metric::KernelMisses, ServeMetrics::kernel_misses),
+            (Metric::TunerSearches, ServeMetrics::tuner_searches),
+            (Metric::TapeCompiles, ServeMetrics::tape_compiles),
+            (Metric::TapeDispatches, ServeMetrics::tape_dispatches),
+            (Metric::TapeFusedRequests, ServeMetrics::tape_fused_requests),
+            (Metric::TapeOpsRetired, ServeMetrics::tape_ops_retired),
+            (Metric::TapeGuardChecks, ServeMetrics::tape_guard_checks),
+            (
+                Metric::TapeIntrinDispatches,
+                ServeMetrics::tape_intrin_dispatches,
+            ),
+            (
+                Metric::EpilogueFusedKernels,
+                ServeMetrics::epilogue_fused_kernels,
+            ),
+            (
+                Metric::EpilogueOpsEliminated,
+                ServeMetrics::epilogue_ops_eliminated,
+            ),
+            (Metric::DispatcherWakes, ServeMetrics::dispatcher_wakes),
+            (Metric::JournalAppends, ServeMetrics::journal_appends),
+            (
+                Metric::JournalTailedRecords,
+                ServeMetrics::journal_tailed_records,
+            ),
+            (
+                Metric::JournalCompactions,
+                ServeMetrics::journal_compactions,
+            ),
+            (Metric::JournalErrors, ServeMetrics::journal_errors),
+            (Metric::HttpRequests, ServeMetrics::http_requests),
+            (Metric::HttpErrors, ServeMetrics::http_errors),
+            (Metric::RetuneQueued, ServeMetrics::retune_queued),
+            (Metric::RetuneCompleted, ServeMetrics::retune_completed),
+            (Metric::RetuneSwaps, ServeMetrics::retune_swaps),
+            (Metric::TracesRecorded, ServeMetrics::traces_recorded),
+            (Metric::TraceDropped, ServeMetrics::trace_dropped),
+            (Metric::HotPairsEvicted, ServeMetrics::hot_pairs_evicted),
+            (Metric::QueueDepth, ServeMetrics::queue_depth),
+            (Metric::QueueDepthPeak, ServeMetrics::queue_depth_peak),
+        ];
+        assert_eq!(
+            getters.map(|(metric, _)| metric).as_slice(),
+            Metric::ALL,
+            "one getter per table row, in table order"
+        );
+        // Distinct values: a getter or rendering that reads another
+        // row's slot shows a different number.
+        let m = ServeMetrics::new();
+        for (i, &metric) in Metric::ALL.iter().enumerate() {
+            m.add(metric, 1_000 + i as u64);
+        }
+        let prometheus = m.render_prometheus();
+        let text = m.render();
+        let values = |rendering: &str, key: String| -> Vec<String> {
+            rendering
+                .lines()
+                .filter_map(|l| l.strip_prefix(&key))
+                .map(str::to_string)
+                .collect()
+        };
+        for (metric, getter) in getters {
+            let (name, value) = (metric.name(), getter(&m).to_string());
+            let type_line = format!("# TYPE unit_serve_{name} {}", metric.kind());
+            assert_eq!(
+                prometheus.lines().filter(|l| *l == type_line).count(),
+                1,
+                "{type_line}"
+            );
+            let once = std::slice::from_ref(&value);
+            assert_eq!(
+                values(&prometheus, format!("unit_serve_{name} ")),
+                once,
+                "{name}"
+            );
+            // The text shows `batched_requests` only through
+            // `batch_size_mean`.
+            let in_text = if metric == Metric::BatchedRequests {
+                &[]
+            } else {
+                once
+            };
+            assert_eq!(values(&text, format!("{name} ")), in_text, "{name}");
+        }
     }
 }

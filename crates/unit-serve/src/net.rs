@@ -116,6 +116,7 @@ use unit_graph::OpSpec;
 use unit_isa::{Scalar, TypedBuf};
 
 use crate::engine::ServeError;
+use crate::metrics::Metric;
 use crate::model::model_graph;
 use crate::scheduler::{Scheduler, ServeRequest, SubmitError};
 use crate::trace::TraceCollector;
@@ -240,6 +241,7 @@ fn accept_loop(
         }
         let Ok(stream) = stream else { continue };
         if live.load(Ordering::SeqCst) >= config.max_connections {
+            scheduler.engine().metrics().add(Metric::HttpErrors, 1);
             let _ = respond(
                 &stream,
                 503,
@@ -269,13 +271,13 @@ fn handle_connection(stream: &TcpStream, scheduler: &Arc<Scheduler>, config: &Ht
     let _ = stream.set_write_timeout(Some(config.io_timeout));
     let (status, reason, body) = match read_request(stream, config) {
         Ok((head, body)) => {
-            metrics.record_http_request();
+            metrics.add(Metric::HttpRequests, 1);
             route(scheduler, config, &head, &body)
         }
         Err(e) => e,
     };
     if status >= 300 {
-        metrics.record_http_error();
+        metrics.add(Metric::HttpErrors, 1);
     }
     let _ = respond(stream, status, reason, &body);
 }

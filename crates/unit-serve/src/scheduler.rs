@@ -42,6 +42,7 @@ use unit_graph::OpSpec;
 use unit_isa::TypedBuf;
 
 use crate::engine::{ExecOutcome, ServeEngine};
+use crate::metrics::Metric;
 use crate::trace::TraceHandle;
 
 /// One inference request: execute `op` on `target`, with input buffers
@@ -223,7 +224,6 @@ impl Scheduler {
             Ok(()) => Ok((id, rx)),
             Err(_) => {
                 self.engine.metrics().record_unsubmit();
-                self.engine.metrics().record_reject();
                 Err(SubmitError::ShuttingDown)
             }
         }
@@ -251,12 +251,10 @@ impl Scheduler {
             Ok(()) => Ok((id, rx)),
             Err(TrySendError::Full(_)) => {
                 self.engine.metrics().record_unsubmit();
-                self.engine.metrics().record_reject();
                 Err(SubmitError::QueueFull)
             }
             Err(TrySendError::Disconnected(_)) => {
                 self.engine.metrics().record_unsubmit();
-                self.engine.metrics().record_reject();
                 Err(SubmitError::ShuttingDown)
             }
         }
@@ -267,7 +265,7 @@ impl Scheduler {
         req: &ServeRequest,
     ) -> Result<(Envelope, u64, Receiver<ServeResponse>), SubmitError> {
         if !self.engine.serves(&req.target) {
-            self.engine.metrics().record_reject();
+            self.engine.metrics().add(Metric::Rejected, 1);
             return Err(SubmitError::UnknownTarget(req.target.clone()));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -336,7 +334,7 @@ fn dispatch_loop(
     metrics: &Arc<crate::metrics::ServeMetrics>,
 ) {
     while let Ok(first) = rx.recv() {
-        metrics.record_dispatcher_wake();
+        metrics.add(Metric::DispatcherWakes, 1);
         let mut pending = vec![first];
         while pending.len() < drain_window {
             match rx.try_recv() {

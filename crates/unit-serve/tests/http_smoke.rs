@@ -3,6 +3,8 @@
 //! mapping must hold on the wire, and shutdown must be clean (the port
 //! refuses new connections afterwards).
 
+use std::io::Read;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,14 +19,17 @@ use unit_serve::{HttpServer, HttpServerConfig, Scheduler, SchedulerConfig, Serve
 const TIMEOUT: Duration = Duration::from_secs(30);
 
 fn start_server() -> (Arc<Scheduler>, HttpServer) {
+    start_server_with(HttpServerConfig::default())
+}
+
+fn start_server_with(config: HttpServerConfig) -> (Arc<Scheduler>, HttpServer) {
     let tuning = TuningConfig {
         cpu: CpuTuneMode::ParallelUnroll,
         gpu: GpuTuneMode::Generic,
     };
     let engine = Arc::new(ServeEngine::new(tuning));
     let scheduler = Arc::new(Scheduler::start(engine, SchedulerConfig::default()));
-    let server = HttpServer::start(Arc::clone(&scheduler), HttpServerConfig::default())
-        .expect("bind front-end");
+    let server = HttpServer::start(Arc::clone(&scheduler), config).expect("bind front-end");
     (scheduler, server)
 }
 
@@ -205,5 +210,33 @@ fn wire_status_mapping_holds() {
         "invalid model id maps to a client/server error, got {status}: {text}"
     );
 
+    server.shutdown();
+}
+
+#[test]
+fn over_cap_connection_gets_503_and_counts_as_an_http_error() {
+    let (scheduler, server) = start_server_with(HttpServerConfig {
+        max_connections: 1,
+        ..HttpServerConfig::default()
+    });
+    let addr = server.local_addr();
+    // A takes the only slot: its handler blocks reading a request that
+    // never comes. The single accept loop takes A before B.
+    let idle = TcpStream::connect(addr).expect("connect A");
+    // B sends nothing, so the server's close after the 503 is a clean
+    // FIN rather than a reset.
+    let mut over_cap = TcpStream::connect(addr).expect("connect B");
+    over_cap
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("read timeout");
+    let mut response = String::new();
+    over_cap
+        .read_to_string(&mut response)
+        .expect("read the 503");
+    assert!(response.starts_with("HTTP/1.1 503 "), "{response}");
+    let metrics = scheduler.engine().metrics();
+    assert_eq!(metrics.http_errors(), 1, "the 503 is a non-2xx response");
+    assert_eq!(metrics.http_requests(), 0, "no request was parsed");
+    drop(idle);
     server.shutdown();
 }
