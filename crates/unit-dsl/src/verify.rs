@@ -19,13 +19,21 @@ pub enum VerifyError {
     UnknownAxis(AxisId),
     /// An expression references a tensor that the op does not declare.
     UnknownTensor(TensorId),
-    /// A load's index count does not match the tensor's rank.
+    /// An axis's extent is zero or negative.
+    NonPositiveExtent {
+        /// The offending axis.
+        axis: AxisId,
+        /// Its declared extent.
+        extent: i64,
+    },
+    /// A load's (or the output access's) index count does not match the
+    /// tensor's rank.
     RankMismatch {
         /// The offending tensor.
         tensor: TensorId,
         /// The tensor's declared rank.
         expected: usize,
-        /// The number of indices in the load.
+        /// The number of indices in the access.
         got: usize,
     },
     /// A load may access an element outside the tensor's extent.
@@ -67,6 +75,9 @@ impl fmt::Display for VerifyError {
         match self {
             VerifyError::UnknownAxis(a) => write!(f, "expression uses undeclared axis {a}"),
             VerifyError::UnknownTensor(t) => write!(f, "expression uses undeclared tensor {t}"),
+            VerifyError::NonPositiveExtent { axis, extent } => {
+                write!(f, "axis {axis} has non-positive extent {extent}")
+            }
             VerifyError::RankMismatch {
                 tensor,
                 expected,
@@ -74,7 +85,7 @@ impl fmt::Display for VerifyError {
             } => {
                 write!(
                     f,
-                    "load of {tensor} has {got} indices but rank is {expected}"
+                    "access of {tensor} has {got} indices but rank is {expected}"
                 )
             }
             VerifyError::OutOfBounds {
@@ -114,6 +125,14 @@ impl std::error::Error for VerifyError {}
 ///
 /// Returns the first violated invariant found; see [`VerifyError`].
 pub fn verify_op(op: &ComputeOp) -> Result<(), VerifyError> {
+    // Axis fields are public, so `Axis::new`'s positivity assert can be
+    // bypassed; every bound below assumes it.
+    if let Some(a) = op.all_axes().into_iter().find(|a| a.extent <= 0) {
+        return Err(VerifyError::NonPositiveExtent {
+            axis: a.id,
+            extent: a.extent,
+        });
+    }
     let declared: BTreeSet<AxisId> = op.all_axes().iter().map(|a| a.id).collect();
     let extent_of = |a: AxisId| op.extent(a);
 
@@ -207,6 +226,14 @@ pub fn verify_op(op: &ComputeOp) -> Result<(), VerifyError> {
 
     // Output access sanity (builder-produced ops always satisfy this, but
     // hand-built ops may not).
+    let out_rank = op.output_decl().shape.len();
+    if op.out_indices.len() != out_rank {
+        return Err(VerifyError::RankMismatch {
+            tensor: op.output,
+            expected: out_rank,
+            got: op.out_indices.len(),
+        });
+    }
     for (dim, ix) in op.out_indices.iter().enumerate() {
         for v in ix.vars() {
             if !declared.contains(&v) {
@@ -324,6 +351,52 @@ mod tests {
             verify_op(&op),
             Err(VerifyError::RankMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn output_access_longer_than_output_rank_is_caught() {
+        let mut op = conv2d_hwc(8, 8, 16, 32, 3, 3);
+        let rank = op.output_decl().shape.len();
+        op.out_indices.push(LinExpr::constant(0));
+        assert_eq!(
+            verify_op(&op),
+            Err(VerifyError::RankMismatch {
+                tensor: op.output,
+                expected: rank,
+                got: rank + 1,
+            })
+        );
+    }
+
+    #[test]
+    fn output_access_shorter_than_output_rank_is_caught() {
+        let mut op = conv2d_hwc(8, 8, 16, 32, 3, 3);
+        let rank = op.output_decl().shape.len();
+        op.out_indices.pop();
+        assert_eq!(
+            verify_op(&op),
+            Err(VerifyError::RankMismatch {
+                tensor: op.output,
+                expected: rank,
+                got: rank - 1,
+            })
+        );
+    }
+
+    #[test]
+    fn non_positive_axis_extents_are_caught() {
+        for extent in [0, -3] {
+            let mut op = conv2d_hwc(8, 8, 16, 32, 3, 3);
+            // The fields are public, so `Axis::new`'s assert is bypassed.
+            op.reduce_axes[0].extent = extent;
+            assert_eq!(
+                verify_op(&op),
+                Err(VerifyError::NonPositiveExtent {
+                    axis: op.reduce_axes[0].id,
+                    extent,
+                })
+            );
+        }
     }
 
     #[test]

@@ -14,8 +14,18 @@
 //! orders a target's instructions widest-encoding first — the candidate
 //! order the Inspector tries — derived from each descriptor's MAC count
 //! rather than from list position.
+//!
+//! Built-in instruction descriptors are immutable data: their DSL programs
+//! are built once, on the first lookup, and shared from then on. Lookups
+//! ([`by_name`], [`for_target`], [`all`]) and [`register`]'s shadowing
+//! check scan that table by reference and clone only the descriptors they
+//! return. Runtime registration is unchanged: it sits behind a lock, keeps
+//! first-registration order, replaces in place and may not shadow a
+//! built-in.
 
-use std::sync::RwLock;
+use std::iter::Chain;
+use std::slice;
+use std::sync::{OnceLock, RwLock};
 
 use crate::arm;
 use crate::arm_i8mm;
@@ -24,6 +34,7 @@ use crate::nvidia;
 use crate::target::TargetDesc;
 use crate::x86;
 
+static BUILTIN: OnceLock<Vec<TensorIntrinsic>> = OnceLock::new();
 static CUSTOM: RwLock<Vec<TensorIntrinsic>> = RwLock::new(Vec::new());
 static CUSTOM_TARGETS: RwLock<Vec<TargetDesc>> = RwLock::new(Vec::new());
 
@@ -82,12 +93,23 @@ pub fn register_target(target: TargetDesc) -> Result<(), String> {
     Ok(())
 }
 
-fn builtin() -> Vec<TensorIntrinsic> {
-    let mut out = x86::all();
-    out.extend(arm::all());
-    out.extend(arm_i8mm::all());
-    out.extend(nvidia::all());
-    out
+fn builtin() -> &'static [TensorIntrinsic] {
+    BUILTIN.get_or_init(|| {
+        let mut out = x86::all();
+        out.extend(arm::all());
+        out.extend(arm_i8mm::all());
+        out.extend(nvidia::all());
+        out
+    })
+}
+
+type Entries<'a> = Chain<slice::Iter<'a, TensorIntrinsic>, slice::Iter<'a, TensorIntrinsic>>;
+
+/// Run `f` over every registered instruction by reference, in [`all`]'s
+/// order, holding the runtime registry's read lock.
+fn scan<R>(f: impl FnOnce(Entries<'_>) -> R) -> R {
+    let custom = CUSTOM.read().expect("registry lock");
+    f(builtin().iter().chain(custom.iter()))
 }
 
 fn builtin_targets() -> Vec<TargetDesc> {
@@ -107,9 +129,7 @@ fn builtin_targets() -> Vec<TargetDesc> {
 /// Panics if the registry lock is poisoned.
 #[must_use]
 pub fn all() -> Vec<TensorIntrinsic> {
-    let mut out = builtin();
-    out.extend(CUSTOM.read().expect("registry lock").iter().cloned());
-    out
+    scan(|it| it.cloned().collect())
 }
 
 /// Every registered target — built-ins first in their fixed order, then
@@ -143,10 +163,8 @@ pub fn target_by_id(id: &str) -> Option<TargetDesc> {
 /// rectangular ones.
 #[must_use]
 pub fn for_target(target_id: &str) -> Vec<TensorIntrinsic> {
-    let mut out: Vec<TensorIntrinsic> = all()
-        .into_iter()
-        .filter(|i| i.target == target_id)
-        .collect();
+    let mut out: Vec<TensorIntrinsic> =
+        scan(|it| it.filter(|i| i.target == target_id).cloned().collect());
     out.sort_by_key(|i| std::cmp::Reverse(i.macs_per_call()));
     out
 }
@@ -154,7 +172,7 @@ pub fn for_target(target_id: &str) -> Vec<TensorIntrinsic> {
 /// Look an instruction up by its canonical name.
 #[must_use]
 pub fn by_name(name: &str) -> Option<TensorIntrinsic> {
-    all().into_iter().find(|i| i.name == name)
+    scan(|mut it| it.find(|i| i.name == name).cloned())
 }
 
 #[cfg(test)]

@@ -5,8 +5,19 @@
 //! These run in their own test binary so the global registry state they
 //! mutate cannot leak into other suites.
 
-use unit_dsl::{DType, InitExpr, OpBuilder};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use unit_dsl::{Axis, AxisId, AxisKind, DType, InitExpr, LinExpr, OpBuilder};
 use unit_isa::{registry, CpuMachine, ExecStyle, PerfAttrs, TargetDesc, TensorIntrinsic};
+
+/// Held by the tests that register fresh instruction names outside the
+/// `stress.` namespace, so none lands between the two snapshots of
+/// `registry::all()` that the replacement test compares.
+static FRESH_NAMES: Mutex<()> = Mutex::new(());
+
+fn fresh_names() -> MutexGuard<'static, ()> {
+    FRESH_NAMES.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A small, valid CPU target descriptor with the given id.
 fn cpu_target(id: &str, display: &str) -> TargetDesc {
@@ -39,14 +50,19 @@ fn cpu_target(id: &str, display: &str) -> TargetDesc {
 
 /// A small, valid dot instruction bound to `target_id`.
 fn dot_instruction(name: &str, target_id: &str) -> TensorIntrinsic {
+    dot_instruction_sized(name, target_id, 4, 2)
+}
+
+/// A valid `lanes`-lane dot instruction reducing `width` i8 pairs per lane.
+fn dot_instruction_sized(name: &str, target_id: &str, lanes: i64, width: i64) -> TensorIntrinsic {
     let mut b = OpBuilder::new(name);
-    let a = b.tensor("a", &[8], DType::I8);
-    let w = b.tensor("b", &[8], DType::I8);
-    let c = b.tensor("c", &[4], DType::I32);
-    let i = b.axis("i", 4);
-    let j = b.reduce_axis("j", 2);
-    let elem = b.load(a, vec![(i * 2 + j)]).cast(DType::I32)
-        * b.load(w, vec![(i * 2 + j)]).cast(DType::I32);
+    let a = b.tensor("a", &[lanes * width], DType::I8);
+    let w = b.tensor("b", &[lanes * width], DType::I8);
+    let c = b.tensor("c", &[lanes], DType::I32);
+    let i = b.axis("i", lanes);
+    let j = b.reduce_axis("j", width);
+    let elem = b.load(a, vec![(i * width + j)]).cast(DType::I32)
+        * b.load(w, vec![(i * width + j)]).cast(DType::I32);
     let semantics = b.compute(
         "d",
         DType::I32,
@@ -61,7 +77,7 @@ fn dot_instruction(name: &str, target_id: &str) -> TensorIntrinsic {
         perf: PerfAttrs {
             latency_cycles: 2.0,
             throughput_ipc: 1.0,
-            macs: 8,
+            macs: (lanes * width) as u64,
             uops: 1,
         },
     }
@@ -117,7 +133,74 @@ fn instructions_with_malformed_target_ids_are_rejected() {
 }
 
 #[test]
+fn descriptors_with_malformed_semantics_are_rejected() {
+    // All three used to register. The first panicked inside `verify_op`,
+    // the second panics on its first `execute`, and the third breaks the
+    // positive-extent invariant every bound check relies on.
+    let mut long_out = dot_instruction("harden.dot.long-out", "malformed-semantics");
+    long_out.semantics.out_indices.push(LinExpr::constant(0));
+    let mut short_out = dot_instruction("harden.dot.short-out", "malformed-semantics");
+    short_out.semantics.out_indices.pop();
+    // The fields are public, so `Axis::new`'s assert is bypassed.
+    let mut zero_extent = dot_instruction("harden.dot.zero-extent", "malformed-semantics");
+    zero_extent.semantics.reduce_axes.push(Axis {
+        id: AxisId(2),
+        name: "k".to_string(),
+        extent: 0,
+        kind: AxisKind::Reduce,
+    });
+    zero_extent.perf.macs = 0;
+
+    for (bad, reason) in [
+        (long_out, "2 indices but rank is 1"),
+        (short_out, "0 indices but rank is 1"),
+        (zero_extent, "non-positive extent 0"),
+    ] {
+        let name = bad.name.clone();
+        let err = registry::register(bad).expect_err("malformed semantics must be rejected");
+        assert!(err.contains(reason), "{name}: unexpected error: {err}");
+        assert!(registry::by_name(&name).is_none(), "{name} was registered");
+    }
+}
+
+#[test]
+fn runtime_instruction_on_a_builtin_target_follows_equal_mac_builtins() {
+    let _fresh = fresh_names();
+    // 16 MACs, like the built-in vpdpbusd.128: a signed i8 twin of it.
+    registry::register(dot_instruction_sized(
+        "harden.dot.s8x16",
+        "x86-avx512-vnni",
+        4,
+        4,
+    ))
+    .expect("a runtime instruction may target a built-in target");
+
+    assert_eq!(
+        registry::by_name("harden.dot.s8x16")
+            .expect("registered")
+            .target,
+        "x86-avx512-vnni"
+    );
+    let names: Vec<String> = registry::for_target("x86-avx512-vnni")
+        .into_iter()
+        .map(|i| i.name)
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "llvm.x86.avx512.vpdpbusd.512",
+            "llvm.x86.avx512.vpdpbusd.256",
+            "llvm.x86.avx512.vpdpwssd.512",
+            "llvm.x86.avx512.vpdpbusd.128",
+            "harden.dot.s8x16",
+        ],
+        "widest first; equal MACs keep built-ins before runtime registrations"
+    );
+}
+
+#[test]
 fn re_registration_replaces_in_place_and_order_stays_deterministic() {
+    let _fresh = fresh_names();
     registry::register_target(cpu_target("order-a", "first a")).unwrap();
     registry::register_target(cpu_target("order-b", "first b")).unwrap();
     registry::register_target(cpu_target("order-c", "first c")).unwrap();
