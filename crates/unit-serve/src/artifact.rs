@@ -66,11 +66,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
+use std::sync::Mutex;
 
 use unit_core::pipeline::TuningConfig;
 use unit_core::tuner::TuneTier;
 use unit_graph::compile::KernelCache;
 use unit_graph::{CacheWorkload, KernelCacheKey};
+
+use crate::lock_recovering;
 
 /// The version tag this build writes and accepts.
 pub const ARTIFACT_FORMAT_VERSION: &str = "unit-artifact-store v1";
@@ -694,7 +697,8 @@ pub(crate) fn decode_entry_fields(s: &str) -> Result<ArtifactEntry, String> {
 
 /// The sibling temp path an atomic write of `path` stages through
 /// (pid-suffixed so concurrent processes saving the same path never
-/// clobber each other's staging file).
+/// clobber each other's staging file; threads of one process are
+/// serialized by [`write_atomically`]).
 pub(crate) fn save_temp_path(path: &Path) -> std::path::PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(format!(".tmp.{}", std::process::id()));
@@ -705,8 +709,14 @@ pub(crate) fn save_temp_path(path: &Path) -> std::path::PathBuf {
 /// `fsync`, rename over the target, then best-effort `fsync` of the
 /// parent directory so the rename itself is durable. Shared by
 /// [`ArtifactStore::save`] and the journal's compaction rewrite.
+///
+/// Writers in one process take a process-wide lock: they share one
+/// staging name per path, and two threads staging through it at once
+/// would truncate and rename each other's file.
 pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
+    static WRITERS: Mutex<()> = Mutex::new(());
+    let _writer = lock_recovering(&WRITERS);
     let tmp = save_temp_path(path);
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;

@@ -272,9 +272,10 @@ pub struct ServeEngine {
     exec_mode: ExecMode,
     targets: BTreeMap<String, TargetState>,
     artifacts: Mutex<ArtifactStore>,
-    /// The fleet-shared artifact journal, when attached: cold-compile
-    /// decisions are appended for other replicas to tail, and
-    /// [`ServeEngine::sync_journal`] imports theirs.
+    /// The fleet-shared artifact journal, when attached: each call's
+    /// decisions are appended, as one `JournalBatch`, for other
+    /// replicas to tail, and [`ServeEngine::sync_journal`] imports
+    /// theirs.
     journal: Mutex<Option<Arc<Journal>>>,
     /// The hot-swap lock. Held across every sequence that must observe
     /// a kernel slot and its artifact entry **coherently**: the hit
@@ -481,10 +482,21 @@ impl ServeEngine {
     /// Attach a fleet-shared [`Journal`]: import its current snapshot
     /// (exactly like [`ServeEngine::import_artifacts`] — a replica
     /// attaching to a journal other replicas already populated
-    /// warm-starts search-free), then keep it attached so every cold
-    /// compile this engine performs is appended for the rest of the
-    /// fleet, and [`ServeEngine::sync_journal`] can tail theirs.
+    /// warm-starts search-free), then keep it attached so every decision
+    /// this engine makes is appended for the rest of the fleet, and
+    /// [`ServeEngine::sync_journal`] can tail theirs.
     /// Returns the number of restored latency-cache entries.
+    ///
+    /// Durability: each engine call ([`ServeEngine::compile_model`],
+    /// [`ServeEngine::execute`], [`ServeEngine::execute_model`],
+    /// [`ServeEngine::execute_gemm_batch`], one background re-tune)
+    /// appends its decisions as one batch, with one write and one
+    /// `fsync`, so a decision is durable before the call that made it
+    /// returns. A crash mid-call loses only that call's decisions, which
+    /// the next compile searches again; a batch torn by a crash keeps
+    /// every record whose line is complete. A failed append costs
+    /// durability, not availability: the call still succeeds and
+    /// `journal_errors` counts the decisions it could not persist.
     ///
     /// # Errors
     ///
@@ -579,6 +591,7 @@ impl ServeEngine {
     pub fn compile_model(&self, graph: &Graph, target_id: &str) -> Result<E2eReport, ServeError> {
         self.admit(&graph.name, target_id)?;
         let state = &self.targets[target_id];
+        let mut journal = JournalBatch::new(self);
         let mut workloads: Vec<CacheWorkload> = unit_graph::unique_workloads(&[graph])
             .into_iter()
             .map(CacheWorkload::Op)
@@ -606,11 +619,15 @@ impl ServeEngine {
                 // the executable cache if possible so the exported store
                 // replays for this model too — otherwise fall through to
                 // the full compile path.
-                if recorded || self.record_cached(&graph.name, target_id, &key).is_some() {
+                if recorded
+                    || self
+                        .record_cached(&graph.name, target_id, &key, &mut journal)
+                        .is_some()
+                {
                     continue;
                 }
             }
-            self.ensure_compiled(&graph.name, target_id, workload, None);
+            self.ensure_compiled(&graph.name, target_id, workload, None, &mut journal);
         }
         Ok(compile_model_with_artifacts(
             graph,
@@ -658,7 +675,9 @@ impl ServeEngine {
     ) -> Result<ExecOutcome, ServeError> {
         self.admit(model, target_id)?;
         self.metrics.record_request_pair(model, target_id);
-        let kernel = self.ensure_compiled(model, target_id, CacheWorkload::Op(op), trace);
+        let mut journal = JournalBatch::new(self);
+        let kernel =
+            self.ensure_compiled(model, target_id, CacheWorkload::Op(op), trace, &mut journal);
         let mut bufs = alloc_buffers(&kernel.op.func);
         random_fill(&mut bufs, seed);
         self.dispatch(
@@ -776,6 +795,7 @@ impl ServeEngine {
         self.metrics.record_request_pair(&graph.name, target_id);
         let (rows, cols) = model::plan_input_dims(graph).map_err(ServeError::Plan)?;
         let tokens = model::input_tokens(seed, rows, cols);
+        let mut journal = JournalBatch::new(self);
         let mut outputs: Vec<Compact> = Vec::with_capacity(plan.steps.len());
         let mut micros = 0.0;
         for step in &plan.steps {
@@ -809,7 +829,8 @@ impl ServeEngine {
             } else {
                 CacheWorkload::Op(step.op)
             };
-            let kernel = self.ensure_compiled(&graph.name, target_id, workload, trace);
+            let kernel =
+                self.ensure_compiled(&graph.name, target_id, workload, trace, &mut journal);
             let func = &kernel.op.func;
             let mut bufs = alloc_buffers(func);
             model::scatter_operands(func, &data, &weight, &mut bufs).map_err(ServeError::Plan)?;
@@ -909,7 +930,9 @@ impl ServeEngine {
         // compile happens once for the whole fused dispatch.
         let traced: Vec<&TraceHandle> = traces.iter().flatten().collect();
         let first = traced.first().copied();
-        let kernel = self.ensure_compiled(model, target_id, CacheWorkload::Op(op), first);
+        let mut journal = JournalBatch::new(self);
+        let kernel =
+            self.ensure_compiled(model, target_id, CacheWorkload::Op(op), first, &mut journal);
         let Some(fused) = self.fused_kernel(target_id, &kernel, fused_spec, seeds.len(), first)
         else {
             return self.execute_each(model, target_id, op, seeds, traces);
@@ -1038,20 +1061,21 @@ impl ServeEngine {
     /// `(workload, target, engine tuning)` from (in order): the
     /// per-target executable cache, artifact replay, or a cold compile —
     /// at the cold tier on tiered engines — which records its decision
-    /// into the artifact store. Spans: `cache_lookup` on every call, then
-    /// `artifact_replay` or `cold_compile` plus back-dated per-stage
-    /// spans (inspect → tune → lower) on misses.
+    /// into the artifact store and `journal`. Spans: `cache_lookup` on
+    /// every call, then `artifact_replay` or `cold_compile` plus
+    /// back-dated per-stage spans (inspect → tune → lower) on misses.
     fn ensure_compiled(
         &self,
         model: &str,
         target_id: &str,
         workload: CacheWorkload,
         trace: Option<&TraceHandle>,
+        journal: &mut JournalBatch<'_>,
     ) -> Arc<Kernel> {
         let state = &self.targets[target_id];
         let key = KernelCacheKey::new(workload, target_id, self.tuning);
         let lookup = trace.map(|t| t.start("cache_lookup"));
-        if let Some(kernel) = self.record_cached(model, target_id, &key) {
+        if let Some(kernel) = self.record_cached(model, target_id, &key, journal) {
             if let Some(span) = lookup {
                 span.finish(format!("kernel_cache=hit tier={:?}", kernel.tier));
             }
@@ -1105,7 +1129,7 @@ impl ServeEngine {
                 }
                 self.metrics.record_cold_start(tier, started.elapsed());
                 let kernel = Kernel::new(op, tier);
-                self.persist_entry(model, target_id, kernel.entry(self.tuning));
+                self.persist_entry(model, target_id, kernel.entry(self.tuning), journal);
                 kernel
             }
         };
@@ -1143,23 +1167,20 @@ impl ServeEngine {
     /// the artifact record let this thread write the stale cold-tier
     /// entry (with the cold replay config) into a namespace the swap had
     /// already upgraded — a lost update that resurrected the cheap kernel
-    /// on the next warm start. Journal I/O stays outside the lock.
+    /// on the next warm start.
     fn record_cached(
         &self,
         model: &str,
         target_id: &str,
         key: &KernelCacheKey,
+        journal: &mut JournalBatch<'_>,
     ) -> Option<Arc<Kernel>> {
-        let (kernel, journaled) = {
+        let kernel = {
             let _swap = lock_recovering(&self.swap);
             let kernel = self.targets[target_id].exec.get(key)?;
-            let entry = kernel.entry(self.tuning);
-            let inserted = lock_recovering(&self.artifacts).absorb(model, target_id, entry.clone());
-            (kernel, inserted.then_some(entry))
+            self.persist_entry(model, target_id, kernel.entry(self.tuning), journal);
+            kernel
         };
-        if let Some(entry) = journaled {
-            self.journal_put(model, target_id, entry);
-        }
         if kernel.tier == TuneTier::Cold {
             self.enqueue_retune(model, target_id, key.spec);
         }
@@ -1180,37 +1201,17 @@ impl ServeEngine {
     }
 
     /// Absorb `entry` into the store (insert if absent, upgrade if
-    /// strictly higher tier) and append newly learned decisions to the
-    /// attached journal. The journal append happens *outside* the
-    /// artifacts mutex — journal I/O (lock, write, fsync) must never
-    /// serialize the compile path behind it.
-    fn persist_entry(&self, model: &str, target_id: &str, entry: ArtifactEntry) {
+    /// strictly higher tier) and queue newly learned decisions on the
+    /// calling engine call's `journal` batch.
+    fn persist_entry(
+        &self,
+        model: &str,
+        target_id: &str,
+        entry: ArtifactEntry,
+        journal: &mut JournalBatch<'_>,
+    ) {
         if lock_recovering(&self.artifacts).absorb(model, target_id, entry.clone()) {
-            self.journal_put(model, target_id, entry);
-        }
-    }
-
-    /// Append a `put` record for `entry` to the attached journal, if
-    /// any. Serving must survive journal I/O failures (a full disk
-    /// poisons durability, not availability); the error count is
-    /// visible in `/metrics`.
-    fn journal_put(&self, model: &str, target_id: &str, entry: ArtifactEntry) {
-        let Some(journal) = lock_recovering(&self.journal).clone() else {
-            return;
-        };
-        let record = JournalRecord::Put {
-            model: model.to_string(),
-            target: target_id.to_string(),
-            entry: Box::new(entry),
-        };
-        match journal.append(std::slice::from_ref(&record)) {
-            Ok(compacted) => {
-                self.metrics.add(Metric::JournalAppends, 1);
-                if compacted {
-                    self.metrics.add(Metric::JournalCompactions, 1);
-                }
-            }
-            Err(_) => self.metrics.add(Metric::JournalErrors, 1),
+            journal.put(model, target_id, entry);
         }
     }
 
@@ -1280,8 +1281,9 @@ impl ServeEngine {
     /// namespace sharing the identity), the exec-cache slot and the
     /// latency entry move together, so no request can observe a
     /// full-tier artifact with a cold-tier kernel or vice versa.
-    /// Journals the upgrade for peer replicas.
+    /// Journals the upgrade for peer replicas, in one batch per job.
     fn retune_traced(&self, job: &RetuneJob, trace: Option<&TraceHandle>) -> bool {
+        let mut journal = JournalBatch::new(self);
         let Some(state) = self.targets.get(&job.target) else {
             self.metrics.add(Metric::RetuneCompleted, 1);
             return false;
@@ -1316,6 +1318,7 @@ impl ServeEngine {
             if !models.is_empty() {
                 for model in &models {
                     artifacts.record(model, &job.target, entry.clone());
+                    journal.put(model, &job.target, entry.clone());
                 }
                 drop(artifacts);
                 state
@@ -1333,10 +1336,65 @@ impl ServeEngine {
             return false;
         }
         self.metrics.add(Metric::RetuneSwaps, 1);
-        for model in &upgraded {
-            self.journal_put(model, &job.target, entry.clone());
-        }
         true
+    }
+}
+
+/// One engine call's journal batch. Each decision the call makes is
+/// absorbed into the artifact store at once, under the engine's locks;
+/// its `put` record waits here, and dropping the batch appends them all
+/// to the attached journal with one write and one `fsync`. Every public
+/// call owns one, so a decision is durable before the call that made it
+/// returns — by value, by `?` or by unwinding — and no journal I/O ever
+/// runs under an engine lock.
+struct JournalBatch<'e> {
+    engine: &'e ServeEngine,
+    records: Vec<JournalRecord>,
+}
+
+impl<'e> JournalBatch<'e> {
+    fn new(engine: &'e ServeEngine) -> JournalBatch<'e> {
+        JournalBatch {
+            engine,
+            records: Vec::new(),
+        }
+    }
+
+    /// Queue a `put` record for a decision just absorbed into the store.
+    fn put(&mut self, model: &str, target_id: &str, entry: ArtifactEntry) {
+        self.records.push(JournalRecord::Put {
+            model: model.to_string(),
+            target: target_id.to_string(),
+            entry: Box::new(entry),
+        });
+    }
+}
+
+impl Drop for JournalBatch<'_> {
+    /// Append the batch to the attached journal, if any. Serving must
+    /// survive journal I/O failures (a full disk costs durability, not
+    /// availability): both counters count decisions, and the errors are
+    /// visible in `/metrics`. Cannot panic: every record's ids passed
+    /// `ArtifactStore::record`, which enforces `Journal::append`'s id
+    /// contract.
+    fn drop(&mut self) {
+        if self.records.is_empty() {
+            return;
+        }
+        let Some(journal) = lock_recovering(&self.engine.journal).clone() else {
+            return;
+        };
+        let metrics = &self.engine.metrics;
+        let decisions = self.records.len() as u64;
+        match journal.append(&self.records) {
+            Ok(compacted) => {
+                metrics.add(Metric::JournalAppends, decisions);
+                if compacted {
+                    metrics.add(Metric::JournalCompactions, 1);
+                }
+            }
+            Err(_) => metrics.add(Metric::JournalErrors, decisions),
+        }
     }
 }
 
@@ -1874,6 +1932,77 @@ mod tests {
             assert_eq!(out.steps, 8);
             check("model", &traces, before, 8, 0);
         }
+    }
+
+    /// A fresh journal in its own temp dir, attached to `engine`.
+    fn attach_fresh_journal(engine: &ServeEngine, tag: &str) -> (std::path::PathBuf, Arc<Journal>) {
+        let dir =
+            std::env::temp_dir().join(format!("unit-engine-journal-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = crate::journal::JournalConfig::at(dir.join("journal"));
+        let journal = Arc::new(Journal::open(config).unwrap());
+        engine.attach_journal(Arc::clone(&journal)).unwrap();
+        (dir, journal)
+    }
+
+    #[test]
+    fn journal_failures_cost_durability_not_availability() {
+        let target = "x86-avx512-vnni";
+        let graph = unit_graph::models::transformer_tiny();
+        let engine = ServeEngine::new(TuningConfig::default());
+        let (dir, _journal) = attach_fresh_journal(&engine, "gone");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let report = engine.compile_model(&graph, target).unwrap();
+        let reference = ServeEngine::new(TuningConfig::default())
+            .compile_model(&graph, target)
+            .unwrap();
+        let bits = |r: &E2eReport| {
+            let layers: Vec<_> = r
+                .layers
+                .iter()
+                .map(|l| (l.name.clone(), l.micros.to_bits(), l.note.clone()))
+                .collect();
+            (
+                r.model.clone(),
+                r.provider.clone(),
+                r.total_ms.to_bits(),
+                layers,
+            )
+        };
+        assert_eq!(bits(&report), bits(&reference));
+        let decisions = engine.export_artifacts().entries(&graph.name, target).len() as u64;
+        assert!(decisions > 1, "the compile made {decisions} decisions");
+        assert_eq!(engine.metrics().journal_errors(), decisions);
+        assert_eq!(engine.metrics().journal_appends(), 0);
+    }
+
+    #[test]
+    fn a_cold_engine_call_is_one_journal_write() {
+        let target = "x86-avx512-vnni";
+        let engine = ServeEngine::new(TuningConfig::default());
+        let (dir, journal) = attach_fresh_journal(&engine, "one-write");
+
+        engine
+            .compile_model(&unit_graph::models::transformer_tiny(), target)
+            .unwrap();
+        let compiled = engine.metrics().journal_appends();
+        assert!(compiled > 1, "the compile made {compiled} decisions");
+        assert_eq!(journal.writes(), 1, "one cold compile_model, one write");
+
+        let micro = crate::model_graph("transformer-micro").unwrap();
+        engine.execute_model(&micro, target, 1, true).unwrap();
+        let executed = engine.metrics().journal_appends() - compiled;
+        assert!(executed > 1, "the forward made {executed} decisions");
+        assert_eq!(journal.writes(), 2, "one cold execute_model, one write");
+
+        assert_eq!(
+            journal.snapshot().unwrap().len() as u64,
+            compiled + executed,
+            "every decision reached the journal"
+        );
+        assert_eq!(engine.metrics().journal_errors(), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

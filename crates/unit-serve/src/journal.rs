@@ -46,6 +46,18 @@
 //! [`Journal::open`]. The v2 migration preserves the file's compaction
 //! generation, so tailing replicas' cursors stay meaningful.
 //!
+//! # Durability
+//!
+//! [`Journal::append`] writes a whole batch of records with one `write`
+//! and one `fsync` under the exclusive lock. The serving engine appends
+//! once per engine call, batching every decision the call made, so a
+//! decision is durable before the call that made it returns. A crash
+//! mid-call loses only that call's decisions, which a later compile
+//! searches again. A crash mid-`write` tears at most the batch being
+//! written, and that batch keeps its complete records: every line
+//! carries its own checksum, readers stop before the unterminated final
+//! line, and the next append truncates it.
+//!
 //! # Lock protocol
 //!
 //! All cross-process exclusion uses an advisory lock on a **sentinel
@@ -71,6 +83,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::artifact::{
@@ -156,6 +169,8 @@ pub struct Journal {
     lock_path: PathBuf,
     max_bytes: u64,
     tail: Mutex<TailState>,
+    /// Appends that reached the file (one `write` + `fsync` each).
+    writes: AtomicU64,
 }
 
 impl Journal {
@@ -186,6 +201,7 @@ impl Journal {
                 offset: 0,
                 compact_floor: config.max_bytes.max(1),
             }),
+            writes: AtomicU64::new(0),
         };
         let _lock = journal.lock_file(true)?;
         match std::fs::read_to_string(&journal.path) {
@@ -275,6 +291,7 @@ impl Journal {
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         let healed_len = heal_torn_tail(&mut file)?;
         file.seek(SeekFrom::Start(healed_len))?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
         file.write_all(buf.as_bytes())?;
         file.sync_all()?;
         let len = healed_len + buf.len() as u64;
@@ -362,6 +379,12 @@ impl Journal {
         // well past the live set we just wrote.
         state.compact_floor = self.max_bytes.max(new_len.saturating_mul(2));
         Ok(())
+    }
+
+    /// Appends by this handle that reached the file.
+    #[cfg(test)]
+    pub(crate) fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Relaxed)
     }
 
     /// Open (creating) and lock the sentinel file.
@@ -806,6 +829,45 @@ mod tests {
             .unwrap();
         assert_eq!(store.len(), 2);
         assert_eq!(store.entries("m3", "t3")[0].note, "after heal");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_batch_keeps_its_complete_records() {
+        let dir = temp_dir("torn-batch");
+        let path = dir.join("journal");
+        let batch: Vec<JournalRecord> = (0..8)
+            .map(|i| put(&format!("m{i}"), "t", &format!("decision {i}")))
+            .collect();
+        Journal::open(JournalConfig::at(&path))
+            .unwrap()
+            .append(&batch)
+            .unwrap();
+        let file = std::fs::read(&path).unwrap();
+        let body_start = file.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let healer = put("healer", "t", "appended after the tear");
+
+        // Tear a copy of the file at every byte offset of the batch.
+        let torn = dir.join("torn");
+        for cut in body_start..=file.len() {
+            std::fs::write(&torn, &file[..cut]).unwrap();
+            let complete = file[body_start..cut]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            let expected = fold_records(batch[..complete].to_vec());
+
+            let j = Journal::open(JournalConfig::at(&torn)).unwrap();
+            let store = j.snapshot().unwrap();
+            assert_eq!(store.len(), complete, "cut at byte {cut}");
+            assert_eq!(store.encode(), expected.encode(), "cut at byte {cut}");
+
+            j.append(std::slice::from_ref(&healer)).unwrap();
+            let mut healed = batch[..complete].to_vec();
+            healed.push(healer.clone());
+            let fresh = Journal::open(JournalConfig::at(&torn)).unwrap();
+            assert_eq!(fresh.poll().unwrap(), healed, "cut at byte {cut}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

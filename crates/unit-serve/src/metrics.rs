@@ -127,13 +127,16 @@ metric_table! {
     /// Dispatcher batch-window wake-ups. Flat on an idle scheduler: the
     /// dispatcher blocks on `recv` rather than spinning.
     DispatcherWakes dispatcher_wakes "dispatcher_wakes" counter;
-    /// Tuning decisions appended to the shared journal.
+    /// Tuning decisions appended to the shared journal. Counts
+    /// decisions, not writes: each engine call appends its decisions in
+    /// one batch.
     JournalAppends journal_appends "journal_appends" counter;
     /// Journal records tailed from other replicas and applied here.
     JournalTailedRecords journal_tailed_records "journal_tailed_records" counter;
     /// Journal compactions this replica triggered.
     JournalCompactions journal_compactions "journal_compactions" counter;
-    /// Failed journal operations (serving continued without them).
+    /// Tuning decisions a failed journal append could not persist
+    /// (serving continued without them). Counts decisions, not writes.
     JournalErrors journal_errors "journal_errors" counter;
     /// HTTP requests accepted and parsed by the front-end.
     HttpRequests http_requests "http_requests" counter;

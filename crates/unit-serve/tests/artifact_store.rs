@@ -194,3 +194,71 @@ fn torn_on_disk_store_recovers_and_warms_the_engine() {
         warm.metrics().render()
     );
 }
+
+#[test]
+fn threads_saving_to_one_path_never_clobber_each_other() {
+    // Regression: every save of one process staged through the same
+    // `<file>.tmp.<pid>`, so two threads saving to one path truncated
+    // and renamed each other's staging file: saves failed with
+    // `NotFound`, and loads read an empty or half-written store.
+    use std::sync::Barrier;
+    use unit_graph::{CacheWorkload, OpSpec};
+    use unit_serve::{ArtifactEntry, TuneTier};
+
+    const SAVES: usize = 50;
+    let stores: Vec<ArtifactStore> = (0..4u32)
+        .map(|i| {
+            let mut store = ArtifactStore::new();
+            for k in 1..=32u32 {
+                let entry = ArtifactEntry {
+                    workload: CacheWorkload::Op(OpSpec::gemm(16, 16, 16 * i64::from(k))),
+                    tuning: tuning(),
+                    replay: tuning(),
+                    micros: f64::from(i * 100 + k),
+                    tier: TuneTier::Full,
+                    note: format!("saver {i} kernel {k}"),
+                };
+                store.record(&format!("saver-{i}"), "x86-avx512-vnni", entry);
+            }
+            store
+        })
+        .collect();
+    let encoded: Vec<String> = stores.iter().map(ArtifactStore::encode).collect();
+    let path = tmp_path("concurrent-save");
+    stores[0].save(&path).unwrap();
+
+    let start = Barrier::new(stores.len() + 1);
+    std::thread::scope(|s| {
+        let savers: Vec<_> = stores
+            .iter()
+            .map(|store| {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for n in 0..SAVES {
+                        if let Err(e) = store.save(path) {
+                            panic!("save {n} failed: {e}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let mut loads = 0;
+        while !savers.iter().all(|h| h.is_finished()) {
+            let loaded = ArtifactStore::load(&path)
+                .unwrap_or_else(|e| panic!("load {loads} read a clobbered store: {e}"));
+            assert!(
+                encoded.contains(&loaded.encode()),
+                "load {loads} is none of the saved stores"
+            );
+            loads += 1;
+        }
+        for saver in savers {
+            saver.join().expect("every concurrent save succeeds");
+        }
+    });
+    let last = ArtifactStore::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(encoded.contains(&last.encode()));
+}

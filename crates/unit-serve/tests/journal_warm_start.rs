@@ -27,7 +27,7 @@ fn replica_b_warm_starts_search_free_off_replica_a_journal() {
     let path = dir.join("journal");
 
     // --- Replica A: attach an empty journal, compile cold. Every
-    // tuning decision is appended as it is made. ---
+    // tuning decision is appended before its compile call returns. ---
     let a = ServeEngine::new(tuning);
     let journal_a = Arc::new(Journal::open(JournalConfig::at(&path)).unwrap());
     assert_eq!(a.attach_journal(Arc::clone(&journal_a)).unwrap(), 0);

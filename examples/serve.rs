@@ -2,8 +2,9 @@
 //! file-locked artifact journal**, plus the HTTP/1.1 front-end.
 //!
 //! * Replica A attaches an empty journal, compiles transformer-tiny and
-//!   mobilenet-v1 cold for every registered target — every tuning
-//!   decision is appended to the journal as it is made.
+//!   mobilenet-v1 cold for every registered target — each
+//!   `compile_model` appends its tuning decisions to the journal in one
+//!   write before it returns.
 //! * Replica B attaches the *same* journal and compiles the same models
 //!   with **zero tuner invocations** (asserted through the process-global
 //!   tuner counters): the fleet shares tuning through the file, not
