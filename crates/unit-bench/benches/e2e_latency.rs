@@ -17,9 +17,8 @@
 //! bit-identical before anything is timed — fusion must never be
 //! observable in the payload.
 //!
-//! `E2E_LATENCY_SMOKE=1` shortens the run, asserts the fused forward is
-//! no slower than the unfused one, and writes `BENCH_e2e.json` (per-mode
-//! latency, speedup, fusion counters) — the tracked CI artifact.
+//! `E2E_LATENCY_SMOKE=1` shortens the run and asserts the fused forward
+//! is no slower than the unfused one.
 
 use std::time::{Duration, Instant};
 
@@ -98,13 +97,5 @@ fn main() {
             "the fused whole-model forward must be no slower than the unfused \
              baseline: fused {fused_us:.1} us vs unfused {unfused_us:.1} us"
         );
-        // Hand-rolled JSON (the vendored serde is a stub): the tracked
-        // end-to-end bench artifact CI archives as BENCH_e2e.json.
-        let json = format!(
-            "{{\n  \"bench\": \"e2e_latency\",\n  \"model\": \"{MODEL}\",\n  \"target\": \"{TARGET}\",\n  \"fused_us\": {fused_us:.1},\n  \"unfused_us\": {unfused_us:.1},\n  \"speedup\": {speedup:.3},\n  \"steps\": {},\n  \"fused_epilogue_ops\": {},\n  \"epilogue_fused_kernels\": {fused_kernels},\n  \"epilogue_ops_eliminated\": {ops_eliminated}\n}}\n",
-            fused.steps, fused.fused_epilogue_ops,
-        );
-        std::fs::write("BENCH_e2e.json", &json).expect("write BENCH_e2e.json");
-        println!("wrote BENCH_e2e.json:\n{json}");
     }
 }

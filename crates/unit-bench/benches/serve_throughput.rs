@@ -23,10 +23,7 @@
 //!   all targets, reported as requests/sec.
 //!
 //! `SERVE_THROUGHPUT_SMOKE=1` switches to a single-repetition smoke run
-//! that still asserts the warm-start contract and additionally writes
-//! `BENCH_serve.json` (requests/sec, cold vs warm compile millis) into
-//! the working directory — the start of the serving bench trajectory
-//! tracked by CI.
+//! that still asserts the warm-start contract.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -252,33 +249,4 @@ fn main() {
         warm_elapsed < cold_elapsed,
         "replaying artifacts must be faster than searching"
     );
-
-    if smoke {
-        // Hand-rolled JSON (the vendored serde is a stub): the tracked
-        // serving-bench artifact CI archives as BENCH_serve.json.
-        let json = format!(
-            "{{\n  \"bench\": \"serve_throughput\",\n  \"targets\": {},\n  \"requests\": {requests},\n  \"requests_per_sec\": {rps:.1},\n  \"cold_compile_ms\": {:.2},\n  \"warm_compile_ms\": {:.3},\n  \"journal_warm_compile_ms\": {:.3},\n  \"cold_first_response_tiered_ms\": {:.3},\n  \"cold_first_response_full_ms\": {:.3},\n  \"warm_tuner_searches\": 0,\n  \"batch_size_mean\": {:.2}\n}}\n",
-            targets.len(),
-            cold_elapsed.as_secs_f64() * 1e3,
-            warm_elapsed.as_secs_f64() * 1e3,
-            journal_warm_elapsed.as_secs_f64() * 1e3,
-            tiered_first.as_secs_f64() * 1e3,
-            full_first.as_secs_f64() * 1e3,
-            mean_batch(&engine),
-        );
-        std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-        println!("wrote BENCH_serve.json:\n{json}");
-    }
-}
-
-fn mean_batch(engine: &ServeEngine) -> f64 {
-    // Parse the stable rendering rather than growing the metrics API a
-    // bench-only accessor.
-    engine
-        .metrics()
-        .render()
-        .lines()
-        .find_map(|l| l.strip_prefix("batch_size_mean "))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0)
 }

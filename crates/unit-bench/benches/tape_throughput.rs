@@ -20,10 +20,7 @@
 //!   load through [`TraceCollector::begin`] returning `None`) stays
 //!   within 3% of the raw loop.
 //!
-//! `TAPE_THROUGHPUT_SMOKE=1` switches to a single short repetition count
-//! and additionally writes `BENCH_tape.json` (requests/sec per mode,
-//! speedup, fusion counters) into the working directory — the tracked
-//! CI artifact.
+//! `TAPE_THROUGHPUT_SMOKE=1` switches to a single short repetition count.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -221,18 +218,4 @@ fn main() {
         interp_best.as_secs_f64() * 1e3
     );
     assert_eq!(interp_engine.metrics().tape_dispatches(), 0, "oracle mode");
-
-    if smoke {
-        // Hand-rolled JSON (the vendored serde is a stub): the tracked
-        // tape-bench artifact CI archives as BENCH_tape.json.
-        let json = format!(
-            "{{\n  \"bench\": \"tape_throughput\",\n  \"requests_per_mode\": {},\n  \"tape_requests_per_sec\": {tape_rps:.1},\n  \"interp_requests_per_sec\": {interp_rps:.1},\n  \"tape_speedup\": {:.3},\n  \"tape_compiles\": {},\n  \"fused_batch_requests\": {},\n  \"fused_batch_dispatches\": {fused_dispatches},\n  \"tracing_off_baseline_runs_per_sec\": {base_rps:.1},\n  \"tracing_off_runs_per_sec\": {off_rps:.1},\n  \"tracing_off_overhead_pct\": {overhead_pct:.2}\n}}\n",
-            requests as usize,
-            tape_rps / interp_rps,
-            tape_engine.metrics().tape_compiles(),
-            fusion_seeds.len(),
-        );
-        std::fs::write("BENCH_tape.json", &json).expect("write BENCH_tape.json");
-        println!("wrote BENCH_tape.json:\n{json}");
-    }
 }

@@ -6,7 +6,6 @@
 //! digitized from the published figures, so the printed tables and
 //! `EXPERIMENTS.md` can show paper-vs-measured side by side.
 
-use serde::{Deserialize, Serialize};
 use unit_baselines::{
     CudnnMode, CudnnProvider, MxnetOneDnnProvider, TvmArmManualProvider, TvmNeonProvider,
     TvmX86Provider,
@@ -19,7 +18,7 @@ use unit_graph::models::{all_models, model_labels, res18_3d_convs};
 use crate::{geomean, render_table, workloads::table_i};
 
 /// One x-axis entry (a model or a workload) with one value per series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureRow {
     /// x-axis label.
     pub label: String,
@@ -28,7 +27,7 @@ pub struct FigureRow {
 }
 
 /// A regenerated figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureResult {
     /// Figure title (paper numbering).
     pub title: String,

@@ -41,7 +41,7 @@
 //! * The note is the last field and may contain anything but newlines
 //!   (including `|`).
 //! * `end` carries an FNV-1a 64 checksum over every body line; a
-//!   missing trailer means truncation, a wrong checksum means
+//!   missing or partial trailer means truncation, a wrong checksum means
 //!   corruption — both are rejected with typed [`ArtifactError`]s, as is
 //!   any unknown version line.
 //!
@@ -73,6 +73,7 @@ use unit_core::tuner::TuneTier;
 use unit_graph::compile::KernelCache;
 use unit_graph::{CacheWorkload, KernelCacheKey};
 
+use crate::journal::JOURNAL_FORMAT_VERSION;
 use crate::lock_recovering;
 
 /// The version tag this build writes and accepts.
@@ -114,9 +115,12 @@ impl fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ArtifactError::Io(e) => write!(f, "artifact store I/O: {e}"),
-            ArtifactError::UnsupportedVersion { found } => {
-                write!(f, "unsupported artifact store version line `{found}` (expected `{ARTIFACT_FORMAT_VERSION}`)")
-            }
+            ArtifactError::UnsupportedVersion { found } => write!(
+                f,
+                "unsupported version line `{found}` (this build reads \
+                 `{ARTIFACT_FORMAT_VERSION}` stores and `{JOURNAL_FORMAT_VERSION}` journals, \
+                 migrating journals from v1 and v2)"
+            ),
             ArtifactError::Truncated { reason } => {
                 write!(f, "truncated artifact store: {reason}")
             }
@@ -361,57 +365,16 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Every malformed input maps to a typed [`ArtifactError`]:
-    /// unknown version lines, truncation (missing kernel lines or
-    /// trailer), field-level corruption, checksum mismatches.
+    /// unknown version lines, truncation (a torn tail: missing kernel
+    /// lines, a missing or partial trailer, a damaged final line),
+    /// field-level corruption, checksum mismatches.
     pub fn decode(text: &str) -> Result<ArtifactStore, ArtifactError> {
-        let mut lines = text.lines().enumerate();
-        let (_, version) = lines.next().ok_or(ArtifactError::Truncated {
-            reason: "empty file (missing version line)".to_string(),
-        })?;
-        if version != ARTIFACT_FORMAT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: version.to_string(),
-            });
+        match ArtifactStore::decode_recovering(text)? {
+            (store, TailRecovery::Clean) => Ok(store),
+            (_, TailRecovery::Recovered { .. }) => Err(ArtifactError::Truncated {
+                reason: "torn tail: no complete end trailer".to_string(),
+            }),
         }
-
-        let mut store = ArtifactStore::new();
-        let mut body = String::new();
-        let mut trailer: Option<(usize, String)> = None;
-        let mut pending: Option<(String, String, usize)> = None; // model, target, remaining
-
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            if let Some(rest) = line.strip_prefix("end ") {
-                trailer = Some((lineno, rest.to_string()));
-                // Anything after the trailer is corruption, not padding.
-                if text.lines().count() > lineno {
-                    return Err(ArtifactError::Corrupt {
-                        line: lineno + 1,
-                        reason: "content after the end trailer".to_string(),
-                    });
-                }
-                break;
-            }
-            body.push_str(line);
-            body.push('\n');
-            parse_body_line(line, lineno, &mut pending, &mut store)?;
-        }
-
-        if let Some((model, target, remaining)) = pending {
-            if remaining > 0 {
-                return Err(ArtifactError::Truncated {
-                    reason: format!("{model}/{target}: {remaining} kernel line(s) missing"),
-                });
-            }
-        }
-        let (_, expected) = trailer.ok_or(ArtifactError::Truncated {
-            reason: "missing end trailer".to_string(),
-        })?;
-        let found = format!("{:016x}", fnv1a(body.as_bytes()));
-        if expected != found {
-            return Err(ArtifactError::ChecksumMismatch { expected, found });
-        }
-        Ok(store)
     }
 
     /// Save the canonical rendering to `path` **atomically**: the bytes
@@ -445,7 +408,9 @@ impl ArtifactStore {
     /// can leave: a partially written final line and/or a missing or
     /// partial `end` trailer, with every earlier line intact. Recovery
     /// truncates to the last fully valid entry; [`TailRecovery`] reports
-    /// whether anything was dropped.
+    /// whether anything was dropped. This is the one line walk both
+    /// decoders share: [`ArtifactStore::decode`] rejects whatever it
+    /// recovers.
     ///
     /// # Errors
     ///
@@ -456,18 +421,58 @@ impl ArtifactStore {
     /// cannot come from a crashed append, so it is treated as
     /// corruption, never silently truncated).
     pub fn decode_recovering(text: &str) -> Result<(ArtifactStore, TailRecovery), ArtifactError> {
-        let strict = match ArtifactStore::decode(text) {
-            Ok(store) => return Ok((store, TailRecovery::Clean)),
-            // Hard rejections recovery must never paper over. A
-            // checksum mismatch is NOT filtered here: a torn trailer
-            // (fewer than 16 digits) also mismatches, and only
-            // `recover_tail` can tell the two apart.
-            Err(e @ (ArtifactError::Io(_) | ArtifactError::UnsupportedVersion { .. })) => {
-                return Err(e)
+        let mut lines = text.lines().zip(1..).peekable();
+        let (version, _) = lines.next().ok_or(ArtifactError::Truncated {
+            reason: "empty file (missing version line)".to_string(),
+        })?;
+        if version != ARTIFACT_FORMAT_VERSION {
+            return Err(ArtifactError::UnsupportedVersion {
+                found: version.to_string(),
+            });
+        }
+        let torn = |dropped_line| TailRecovery::Recovered { dropped_line };
+        let mut store = ArtifactStore::new();
+        let mut body = String::new();
+        let mut pending: Option<(String, String, usize)> = None; // model, target, remaining
+        while let Some((line, lineno)) = lines.next() {
+            let is_last = lines.peek().is_none();
+            if let Some(expected) = line.strip_prefix("end ") {
+                // Anything after the trailer is corruption, not padding.
+                if !is_last {
+                    return Err(corrupt(lineno + 1, "content after the end trailer"));
+                }
+                // The crash hit mid-trailer: everything before it parsed.
+                if expected.len() != 16 || !expected.bytes().all(|b| b.is_ascii_hexdigit()) {
+                    return Ok((store, torn(false)));
+                }
+                // A fully written trailer means the save completed, so what
+                // disagrees with it is real damage.
+                if let Some((model, target, remaining @ 1..)) = pending {
+                    return Err(ArtifactError::Truncated {
+                        reason: format!("{model}/{target}: {remaining} kernel line(s) missing"),
+                    });
+                }
+                let found = format!("{:016x}", fnv1a(body.as_bytes()));
+                if expected != found {
+                    return Err(ArtifactError::ChecksumMismatch {
+                        expected: expected.to_string(),
+                        found,
+                    });
+                }
+                return Ok((store, TailRecovery::Clean));
             }
-            Err(e) => e,
-        };
-        recover_tail(text, strict)
+            match parse_body_line(line, lineno, &mut pending, &mut store) {
+                Ok(()) => {}
+                // A damaged *final* line is the torn-tail signature; drop it.
+                Err(_) if is_last => return Ok((store, torn(true))),
+                Err(e) => return Err(e),
+            }
+            body.push_str(line);
+            body.push('\n');
+        }
+        // Ran off the end without any trailer. An incomplete trailing model
+        // block is exactly the torn-tail shape, so `pending` is not checked.
+        Ok((store, torn(false)))
     }
 
     /// [`ArtifactStore::load`] with torn-tail recovery — see
@@ -503,66 +508,8 @@ pub enum TailRecovery {
     },
 }
 
-/// The torn-tail walk behind [`ArtifactStore::decode_recovering`]:
-/// re-parse the body, keeping entries while lines stay valid. Damage is
-/// recoverable only on the very last line of the file; anywhere earlier
-/// the strict error stands.
-fn recover_tail(
-    text: &str,
-    strict: ArtifactError,
-) -> Result<(ArtifactStore, TailRecovery), ArtifactError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let Some((&version, body_lines)) = lines.split_first() else {
-        return Err(strict);
-    };
-    if version != ARTIFACT_FORMAT_VERSION {
-        return Err(strict);
-    }
-    let last = body_lines.len().saturating_sub(1);
-    let mut store = ArtifactStore::new();
-    let mut pending: Option<(String, String, usize)> = None;
-    for (i, line) in body_lines.iter().enumerate() {
-        let lineno = i + 2; // 1-based; line 1 is the version line
-        let is_last = i == last;
-        if let Some(rest) = line.strip_prefix("end ") {
-            if rest.len() == 16 && rest.bytes().all(|b| b.is_ascii_hexdigit()) {
-                // A fully written trailer means the save completed;
-                // whatever strict parsing rejected is real damage.
-                return Err(strict);
-            }
-            if !is_last {
-                return Err(strict);
-            }
-            // The crash hit mid-trailer: everything before it parsed.
-            return Ok((
-                store,
-                TailRecovery::Recovered {
-                    dropped_line: false,
-                },
-            ));
-        }
-        match parse_body_line(line, lineno, &mut pending, &mut store) {
-            Ok(()) => {}
-            // A damaged *final* line is the torn-tail signature; drop it.
-            Err(_) if is_last => {
-                return Ok((store, TailRecovery::Recovered { dropped_line: true }))
-            }
-            Err(_) => return Err(strict),
-        }
-    }
-    // Ran off the end without any trailer. An incomplete trailing model
-    // block is exactly the torn-tail shape, so `pending` is not checked.
-    Ok((
-        store,
-        TailRecovery::Recovered {
-            dropped_line: false,
-        },
-    ))
-}
-
 /// Parse one body line (`model ` header or `kernel ` entry) into
-/// `store`, tracking the current block in `pending` — shared by the
-/// strict and recovering decoders so they can never drift.
+/// `store`, tracking the current block in `pending`.
 fn parse_body_line(
     line: &str,
     lineno: usize,
@@ -808,6 +755,25 @@ mod tests {
                 note: "wmma [p=2,fuse=false,splitK=1]".to_string(),
             },
         );
+        // A third block, sorted first, with a cold entry: chops land in
+        // every line shape, not only in the final record.
+        for (spec, tier, micros) in [
+            (OpSpec::conv2d(32, 28, 32, 3, 1, 1), TuneTier::Cold, 48.5),
+            (OpSpec::batched_gemm(2, 16, 16, 16), TuneTier::Full, 3.0e-3),
+        ] {
+            store.record(
+                "mobilenet-v1",
+                "arm-neon-dot",
+                ArtifactEntry {
+                    workload: CacheWorkload::Op(spec),
+                    tuning,
+                    replay,
+                    micros,
+                    tier,
+                    note: "sdot [parallel<3000,unroll<16]".to_string(),
+                },
+            );
+        }
         store
     }
 
@@ -987,6 +953,40 @@ mod tests {
                 assert!(matches!(how, TailRecovery::Recovered { .. }), "{ctx}");
             }
             assert_entries_survive(&store, &back, &ctx);
+        }
+    }
+
+    #[test]
+    fn chopping_anywhere_keeps_every_complete_entry() {
+        let store = sample_store();
+        let full = store.encode();
+        let body_start = full.find('\n').unwrap() + 1;
+        for cut in body_start..=full.len() {
+            let chopped = &full[..cut];
+            let ctx = format!("cut at byte {cut}");
+            let (back, how) =
+                ArtifactStore::decode_recovering(chopped).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            // Every kernel line a newline still ends survives; the cut
+            // line's entry survives too when the cut landed in its note.
+            let lines: Vec<&str> = chopped.split_inclusive('\n').collect();
+            let complete = lines
+                .iter()
+                .filter(|l| l.starts_with("kernel ") && l.ends_with('\n'))
+                .count();
+            let cut_kernel = lines
+                .last()
+                .is_some_and(|l| l.starts_with("kernel ") && !l.ends_with('\n'));
+            assert!(
+                back.len() == complete || (cut_kernel && back.len() == complete + 1),
+                "{ctx}: kept {} with {complete} complete kernel lines",
+                back.len()
+            );
+            assert_entries_survive(&store, &back, &ctx);
+            // Only the intact file, or one missing its final newline,
+            // decodes strictly and recovers as clean.
+            let intact = cut + 1 >= full.len();
+            assert_eq!(ArtifactStore::decode(chopped).is_ok(), intact, "{ctx}");
+            assert_eq!(how == TailRecovery::Clean, intact, "{ctx}");
         }
     }
 

@@ -268,7 +268,6 @@ pub struct ServeEngine {
     cold_tuning: TuningConfig,
     /// Whether cold misses serve at the cold tier + background re-tune.
     tiered: bool,
-    workers: usize,
     exec_mode: ExecMode,
     targets: BTreeMap<String, TargetState>,
     artifacts: Mutex<ArtifactStore>,
@@ -323,7 +322,6 @@ impl ServeEngine {
             tuning,
             cold_tuning: tuning.at_tier(TuneTier::Cold),
             tiered: false,
-            workers: 1,
             exec_mode: ExecMode::default(),
             targets,
             artifacts: Mutex::new(ArtifactStore::new()),
@@ -394,17 +392,6 @@ impl ServeEngine {
     #[must_use]
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
-    }
-
-    /// Tune cold compiles with up to `n` worker threads per kernel
-    /// (`0` = one per core). Deterministic — the chosen schedules,
-    /// latencies and notes are identical at any worker count
-    /// (`unit_core::tuner::parallel`'s guarantee), so this only changes
-    /// cold-compile wall clock.
-    #[must_use]
-    pub fn with_workers(mut self, n: usize) -> ServeEngine {
-        self.workers = n;
-        self
     }
 
     /// The engine's metrics registry (shared with the scheduler).
@@ -634,7 +621,7 @@ impl ServeEngine {
             state.target.clone(),
             self.tuning,
             &state.latency,
-            self.workers,
+            1, // tuner workers: the engine compiles on one thread
         ))
     }
 
@@ -1040,9 +1027,7 @@ impl ServeEngine {
         config: TuningConfig,
         workload: &CacheWorkload,
     ) -> CompiledOp {
-        UnitProvider::new(target.clone(), config)
-            .with_workers(self.workers)
-            .compile_workload_full(workload)
+        UnitProvider::new(target.clone(), config).compile_workload_full(workload)
     }
 
     /// Rebuild `entry`'s kernel search-free from its replay config. The

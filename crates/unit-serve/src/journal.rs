@@ -209,32 +209,29 @@ impl Journal {
                 write_atomically(&journal.path, render_header(1).as_bytes())?;
             }
             Err(e) => return Err(e.into()),
-            Ok(text) if text.starts_with(JOURNAL_V1_VERSION) => {
-                let records = parse_v1(&text)?;
-                let mut out = render_header(1);
-                for r in &records {
-                    out.push_str(&encode_record(r));
-                }
-                write_atomically(&journal.path, out.as_bytes())?;
-            }
-            Ok(text) if text.starts_with(JOURNAL_V2_VERSION) => {
-                // v2 → v3: same record grammar (no record in a v2 file
-                // carries a tier marker, and absent decodes as full
-                // tier), so migration re-encodes the records unchanged
-                // under the v3 header, preserving the generation so
-                // other handles' tail cursors stay coherent.
-                let (generation, records) = parse_v2(&text)?;
+            Ok(text) => {
+                // Validate header + all complete records up front so a
+                // corrupt journal fails at open, not mid-serving. A torn
+                // tail is fine (healed on the next append).
+                let (generation, records) = if text.starts_with(JOURNAL_V1_VERSION) {
+                    (1, parse_v1(&text)?)
+                } else {
+                    let parsed = parse_journal(&text)?;
+                    if !parsed.legacy {
+                        return Ok(journal);
+                    }
+                    (parsed.generation, parsed.records)
+                };
+                // A migration rewrites the complete records under the v3
+                // header, dropping a torn tail. v2 records re-encode
+                // unchanged (none carries a tier marker, and absent decodes
+                // as full tier), and the v2 generation is kept so other
+                // handles' tail cursors stay coherent.
                 let mut out = render_header(generation);
                 for r in &records {
                     out.push_str(&encode_record(r));
                 }
                 write_atomically(&journal.path, out.as_bytes())?;
-            }
-            Ok(text) => {
-                // Validate header + all complete records up front so a
-                // corrupt journal fails at open, not mid-serving. A torn
-                // tail is fine (healed on the next append).
-                parse_journal(&text)?;
             }
         }
         Ok(journal)
@@ -543,8 +540,10 @@ fn parse_record(line: &str, lineno: usize) -> Result<JournalRecord, ArtifactErro
     }
 }
 
-/// A fully parsed v2 journal.
+/// A fully parsed v2 or v3 journal.
 struct ParsedJournal {
+    /// A v2 header, which [`Journal::open`] migrates to v3.
+    legacy: bool,
     generation: u64,
     /// Byte offset of the first record (just past the header line).
     body_start: usize,
@@ -555,31 +554,32 @@ struct ParsedJournal {
     valid_end: usize,
 }
 
-/// Parse the header + every complete record. A trailing fragment with
-/// no `\n` (a torn append) is tolerated and excluded from `valid_end`;
-/// a `\n`-terminated line that fails its checksum is hard corruption.
+/// Parse the header + every complete record. The header's version tag
+/// is the whole line up to ` gen `: exactly v3, or v2 (the same record
+/// grammar without tier markers). A trailing fragment with no `\n` (a
+/// torn append) is tolerated and excluded from `valid_end`; a
+/// `\n`-terminated line that fails its checksum is hard corruption.
 fn parse_journal(text: &str) -> Result<ParsedJournal, ArtifactError> {
     let header_end = text.find('\n').ok_or_else(|| ArtifactError::Truncated {
         reason: "journal header line is incomplete".to_string(),
     })?;
     let header = &text[..header_end];
-    let generation = match header.strip_prefix(JOURNAL_FORMAT_VERSION) {
-        Some(rest) => rest
-            .strip_prefix(" gen ")
-            .and_then(|g| g.parse::<u64>().ok())
-            .ok_or_else(|| ArtifactError::Corrupt {
-                line: 1,
-                reason: format!("bad generation in header `{header}`"),
-            })?,
-        None => {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: header.to_string(),
-            })
-        }
-    };
+    let (version, generation) = header.split_once(" gen ").unwrap_or((header, ""));
+    if version != JOURNAL_FORMAT_VERSION && version != JOURNAL_V2_VERSION {
+        return Err(ArtifactError::UnsupportedVersion {
+            found: header.to_string(),
+        });
+    }
+    let generation = generation
+        .parse::<u64>()
+        .map_err(|_| ArtifactError::Corrupt {
+            line: 1,
+            reason: format!("bad generation in header `{header}`"),
+        })?;
     let body_start = header_end + 1;
     let (records, valid_end) = parse_records_from(text, body_start)?;
     Ok(ParsedJournal {
+        legacy: version == JOURNAL_V2_VERSION,
         generation,
         body_start,
         records,
@@ -606,28 +606,6 @@ fn parse_records_from(
         pos += nl + 1;
     }
     Ok((records, pos))
-}
-
-/// Parse a legacy v2 journal: identical record grammar to v3 (the
-/// checksummed `put`/`retire` lines), just the older header — and no
-/// tier markers, so every entry decodes as a full-tier decision. A torn
-/// final line is dropped by the caller's rewrite (only complete records
-/// are returned); a complete line that fails its checksum is corruption.
-fn parse_v2(text: &str) -> Result<(u64, Vec<JournalRecord>), ArtifactError> {
-    let header_end = text.find('\n').ok_or_else(|| ArtifactError::Truncated {
-        reason: "v2 journal header line is incomplete".to_string(),
-    })?;
-    let header = &text[..header_end];
-    let generation = header
-        .strip_prefix(JOURNAL_V2_VERSION)
-        .and_then(|rest| rest.strip_prefix(" gen "))
-        .and_then(|g| g.parse::<u64>().ok())
-        .ok_or_else(|| ArtifactError::Corrupt {
-            line: 1,
-            reason: format!("bad generation in v2 header `{header}`"),
-        })?;
-    let (records, _valid_end) = parse_records_from(text, header_end + 1)?;
-    Ok((generation, records))
 }
 
 /// Parse a legacy v1 journal (`add <model>|<target>|<entry>` lines, no
@@ -1032,6 +1010,31 @@ mod tests {
             assert_eq!(e.note, note);
             assert_eq!(e.tier, TuneTier::Full, "absent tier decodes as full");
             assert_eq!(e.micros.to_bits(), (0.1f64 + 0.2).to_bits());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unknown_version_tags_are_unsupported_not_corrupt() {
+        // Regression: headers were matched by prefix, so `v30` read as v3
+        // and `v2x` as v2 with a bad generation (`Corrupt`), and the
+        // message named only the store format.
+        let dir = temp_dir("unknown-version");
+        let path = dir.join("journal");
+        for header in [
+            "unit-artifact-journal v30 gen 1",
+            "unit-artifact-journal v2x gen 1",
+            "unit-artifact-journal v99",
+        ] {
+            std::fs::write(&path, format!("{header}\n")).unwrap();
+            match Journal::open(JournalConfig::at(&path)) {
+                Err(e @ ArtifactError::UnsupportedVersion { .. }) => {
+                    let msg = e.to_string();
+                    assert!(msg.contains(header), "{msg}");
+                    assert!(msg.contains(JOURNAL_FORMAT_VERSION), "{msg}");
+                }
+                other => panic!("{header}: expected UnsupportedVersion, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
