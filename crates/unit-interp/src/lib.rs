@@ -15,8 +15,9 @@
 //!
 //! Two executors share these semantics: the statement-tree walker
 //! ([`exec::run`], the differential oracle) and the compiled instruction
-//! tape ([`tape::Tape`], the serving fast path — lower once, replay
-//! allocation-free). They are validated against each other bit-for-bit.
+//! tape ([`tape::Tape`], the serving fast path — lower once, replay from
+//! a reused register file, split parallel loops across cores). They are
+//! validated against each other bit-for-bit.
 //!
 //! # Example
 //!

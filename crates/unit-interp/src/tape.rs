@@ -15,6 +15,7 @@
 //! | opcode  | operands                    | effect                           |
 //!   |---------|-----------------------------|----------------------------------|
 //!   | `Loop`  | var                         | `env[var] = 0`                   |
+//!   | `Par`   | var, extent, end, write set | split `[0, extent)` of the body up to `end` across threads, then jump past `end`; run serially, `env[var] = 0` like `Loop` |
 //!   | `End`   | var, extent, top            | `env[var] += 1`; jump `top` while `env[var] < extent` |
 //!   | `Guard` | conditions, exit            | jump `exit` unless all `index < bound` hold |
 //!   | `Store` | addr program, value program | evaluate RPN value, write buffer |
@@ -34,9 +35,24 @@
 //!   inside `[0, len)` skip per-element validation in the hot loop;
 //!   only accesses the tape cannot prove (e.g. under residue guards)
 //!   keep a runtime check. [`Tape::stats`] reports the split.
+//! * **Parallel regions.** The outermost `parallel` loop (the tuner's
+//!   fused data-parallel loop, Figure 7) compiles to a `Par` op when its
+//!   body holds enough intrinsic calls to pay for a thread spawn.
+//!   [`Tape::run`] splits its iterations into contiguous chunks, one per
+//!   core, once the process runs more than one thread: the caller runs
+//!   the first, scoped threads the rest, each with its own scratch and a
+//!   private copy of the buffers the body writes.
+//!   The chunks' writes and counters merge back in iteration order, so
+//!   buffers and [`TapeProfile`] equal the serial run's bit for bit.
+//!   Nested parallel loops, the epilogue and the tree walker stay serial.
 //! * **Reusable register file.** [`TapeScratch`] preallocates the loop
-//!   environment, evaluation stacks and per-site intrinsic registers; a
-//!   steady-state [`Tape::run`] performs no heap allocation.
+//!   environment, evaluation stacks and per-site intrinsic registers. A
+//!   steady-state [`Tape::run`] of a tape without intrinsic sites or
+//!   parallel regions performs no heap allocation. Each intrinsic call
+//!   still allocates inside the instruction emulation
+//!   ([`unit_isa::execute`], hundreds of allocations per call), and each
+//!   parallel region allocates its chunks' scratches and buffer copies
+//!   per run.
 //!
 //! The tree-walk interpreter remains the differential oracle: both engines
 //! share [`OperandSpec::for_each_lane`] and must produce bit-identical
@@ -55,15 +71,23 @@
 //! let mut scratch = tape.scratch();
 //! let mut bufs = alloc_buffers(&func);
 //! random_fill(&mut bufs, 42);
-//! tape.run(&mut bufs, &mut scratch).unwrap(); // replayable, allocation-free
+//! tape.run(&mut bufs, &mut scratch).unwrap(); // replayable; no intrinsics, so allocation-free
 //! ```
+
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+use std::thread;
 
 use unit_dsl::{BinOp, DType};
 use unit_isa::{registry, Scalar, TensorIntrinsic, TypedBuf};
 use unit_tir::epilogue::{
     exp_q15, layernorm_cell, mean_sigma, requantize, softmax_prob, EpiGeom, EpiOp,
 };
-use unit_tir::{BufId, BufferDecl, Guard, IdxExpr, IntrinStmt, OperandSpec, Stmt, TExpr, TirFunc};
+use unit_tir::{
+    BufId, BufferDecl, Guard, IdxExpr, IntrinStmt, LoopKind, OperandSpec, Stmt, TExpr, TirFunc,
+};
 
 use crate::epilogue::{cell_to_i64, i64_to_cell};
 use crate::exec::ExecError;
@@ -299,6 +323,15 @@ enum TapeOp {
     Loop {
         var: u32,
     },
+    /// A parallel region: the loop over `var` whose body is the ops
+    /// between this one and `end`, the index of the loop's `End`.
+    /// `writes` lists the buffers the body writes, sorted.
+    Par {
+        var: u32,
+        extent: i64,
+        end: u32,
+        writes: Box<[u32]>,
+    },
     End {
         var: u32,
         extent: i64,
@@ -351,6 +384,11 @@ pub struct TapeStats {
     /// add, requantize, softmax, layernorm sites executing inside the
     /// dispatch loop instead of as reference passes).
     pub epilogue_ops: usize,
+    /// `parallel` loops compiled into regions that [`Tape::run`] splits
+    /// across threads. A `parallel` loop nested in another, or one whose
+    /// body makes fewer than 16 intrinsic calls per entry (too few to pay
+    /// for a thread), runs serially and is not counted.
+    pub parallel_loops: usize,
 }
 
 /// Run-time execution counters, accumulated into a [`TapeScratch`]
@@ -390,8 +428,9 @@ pub struct Tape {
 }
 
 /// Reusable mutable execution state for one [`Tape`]. Allocate once with
-/// [`Tape::scratch`] and reuse across calls — a steady-state run touches no
-/// allocator.
+/// [`Tape::scratch`] and reuse across calls: its buffers are sized once,
+/// so a steady-state run allocates only inside intrinsic emulation and
+/// for parallel regions (see the module docs).
 pub struct TapeScratch {
     env: Vec<i64>,
     idx_stack: Vec<i64>,
@@ -406,6 +445,9 @@ pub struct TapeScratch {
     row_tmp: Vec<i64>,
     /// Cumulative execution counters (see [`TapeProfile`]).
     profile: TapeProfile,
+    /// The most threads one parallel region of a run through this
+    /// scratch split across.
+    threads: usize,
 }
 
 impl TapeScratch {
@@ -420,7 +462,141 @@ impl TapeScratch {
     pub fn reset_profile(&mut self) {
         self.profile = TapeProfile::default();
     }
+
+    /// The most threads one parallel region split across in the runs
+    /// through this scratch: 1 while every run was serial.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
 }
+
+/// Intrinsic calls per entry below which a `parallel` loop compiles
+/// serial: the split must move more work off the caller than a thread
+/// costs. Measured on a 2-vCPU x86 VM: a scoped spawn and join takes
+/// 46–78 µs (median 54), and one intrinsic call 15 µs (`sdot`, the
+/// cheapest CPU instruction), 31 µs (`smmla`) or 57 µs (`vpdpbusd.512`).
+/// At 16 calls per entry a two-way split hands the spawned thread at
+/// least 8 calls, about 120 µs of `sdot` work or twice a spawn. An
+/// intrinsic executor that does not re-interpret the instruction's DSL
+/// semantics per call would cut the per-call cost about tenfold, and
+/// then this constant must be re-derived.
+const MIN_SPLIT_CALLS: i64 = 16;
+
+/// The threads a parallel region may split across: the cores this
+/// process may run on (its affinity mask on Linux), read once because
+/// one `available_parallelism` call costs ~25 µs; or 1 while the process
+/// runs a single thread.
+///
+/// A tape never starts a process's first thread. Once a process has
+/// started one, glibc's malloc locks an arena on every call for the rest
+/// of its life: on a 2-vCPU x86 VM one spawn and join at the start of a
+/// single-threaded compile loop (perfbench cold-start) cut its
+/// throughput by 18–25%. A server runs its workers before it dispatches a kernel.
+/// A process never leaves that mode, so the first sighting of a second
+/// thread is kept. Where `/proc/self/status` cannot be read, the process
+/// counts as threaded.
+fn split_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    static THREADED: AtomicBool = AtomicBool::new(false);
+    let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    if cores > 1 && !THREADED.load(Ordering::Relaxed) {
+        let threads = std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find_map(|l| l.strip_prefix("Threads:")?.trim().parse::<usize>().ok())
+            });
+        if threads == Some(1) {
+            return 1;
+        }
+        THREADED.store(true, Ordering::Relaxed);
+    }
+    cores
+}
+
+/// The buffers one execution reads and writes: the caller's whole
+/// binding, or one parallel chunk's view of it ([`ChunkBufs`]).
+trait Bufs {
+    /// Buffer `id`, for reading.
+    fn buf(&self, id: u32) -> &TypedBuf;
+    /// Write element `at` of buffer `id`.
+    fn set(&mut self, id: u32, at: usize, value: Scalar);
+    /// The whole binding, when this view may split a parallel region
+    /// (a chunk may not: regions never nest).
+    fn whole(&mut self) -> Option<&mut [TypedBuf]>;
+}
+
+impl Bufs for [TypedBuf] {
+    #[inline]
+    fn buf(&self, id: u32) -> &TypedBuf {
+        &self[id as usize]
+    }
+
+    #[inline]
+    fn set(&mut self, id: u32, at: usize, value: Scalar) {
+        self[id as usize].set(at, value);
+    }
+
+    fn whole(&mut self) -> Option<&mut [TypedBuf]> {
+        Some(self)
+    }
+}
+
+/// A buffer of a region's write set, private to one chunk: a copy taken
+/// at region entry, and which of its elements the chunk wrote.
+struct Private {
+    buf: TypedBuf,
+    written: Vec<bool>,
+}
+
+/// One chunk's view of a parallel region's buffers: the buffers the body
+/// only reads are shared with every chunk, the ones it writes are
+/// [`Private`] copies.
+struct ChunkBufs<'a> {
+    shared: &'a [TypedBuf],
+    /// By buffer id: `Some` exactly for the region's write set.
+    own: Vec<Option<Private>>,
+}
+
+impl<'a> ChunkBufs<'a> {
+    fn new(shared: &'a [TypedBuf], writes: &[u32]) -> ChunkBufs<'a> {
+        let mut own: Vec<Option<Private>> = shared.iter().map(|_| None).collect();
+        for &id in writes {
+            let buf = shared[id as usize].clone();
+            let written = vec![false; buf.len()];
+            own[id as usize] = Some(Private { buf, written });
+        }
+        ChunkBufs { shared, own }
+    }
+}
+
+impl Bufs for ChunkBufs<'_> {
+    #[inline]
+    fn buf(&self, id: u32) -> &TypedBuf {
+        match &self.own[id as usize] {
+            Some(p) => &p.buf,
+            None => &self.shared[id as usize],
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, id: u32, at: usize, value: Scalar) {
+        let p = self.own[id as usize]
+            .as_mut()
+            .expect("a region writes only its write set");
+        p.buf.set(at, value);
+        p.written[at] = true;
+    }
+
+    fn whole(&mut self) -> Option<&mut [TypedBuf]> {
+        None
+    }
+}
+
+/// What one chunk of a parallel region returns: its first error, if
+/// any, and its counters up to there.
+type ChunkOutcome = (Result<(), ExecError>, TapeProfile);
 
 impl Tape {
     /// Lower a function into a tape.
@@ -435,11 +611,19 @@ impl Tape {
     /// The same [`ExecError`] variants the interpreter reports for the
     /// equivalent malformed function.
     pub fn compile(func: &TirFunc) -> Result<Tape, ExecError> {
+        Self::compile_gated(func, MIN_SPLIT_CALLS)
+    }
+
+    /// [`Tape::compile`], splitting the outermost `parallel` loops that
+    /// hold at least `min_split_calls` intrinsic calls per entry.
+    fn compile_gated(func: &TirFunc, min_split_calls: i64) -> Result<Tape, ExecError> {
         let mut c = Compiler {
             func,
             ops: Vec::new(),
             intrins: Vec::new(),
             stats: TapeStats::default(),
+            min_split_calls,
+            under_parallel: false,
         };
         c.stmt(&func.body)?;
         let epi = match &func.epilogue {
@@ -487,6 +671,7 @@ impl Tape {
             row_b: vec![0; self.row_file_len()],
             row_tmp: vec![0; self.epi.map_or(0, |e| e.geom.cols as usize)],
             profile: TapeProfile::default(),
+            threads: 1,
         }
     }
 
@@ -496,7 +681,9 @@ impl Tape {
     }
 
     /// Execute the tape on `bufs` (`bufs[i]` binds buffer `i`), reusing
-    /// `scratch`.
+    /// `scratch`. Parallel regions split across the cores this process
+    /// may run on, once it runs more than one thread; buffers, counters
+    /// and errors equal a serial run's.
     ///
     /// # Errors
     ///
@@ -507,6 +694,22 @@ impl Tape {
     /// Panics if `scratch` was not created by [`Tape::scratch`] on a tape
     /// of identical shape (a programmer error, not input-dependent).
     pub fn run(&self, bufs: &mut [TypedBuf], scratch: &mut TapeScratch) -> Result<(), ExecError> {
+        let threads = if self.stats.parallel_loops > 0 {
+            split_threads()
+        } else {
+            1
+        };
+        self.run_on(bufs, scratch, threads)
+    }
+
+    /// [`Tape::run`] with parallel regions split across at most
+    /// `threads` threads (1 runs everything on the caller).
+    fn run_on(
+        &self,
+        bufs: &mut [TypedBuf],
+        scratch: &mut TapeScratch,
+        threads: usize,
+    ) -> Result<(), ExecError> {
         if bufs.len() != self.decls.len() {
             return Err(ExecError::BufferCount {
                 expected: self.decls.len(),
@@ -536,17 +739,50 @@ impl Tape {
             self.row_file_len(),
             "scratch from another tape"
         );
+        let mut prof = TapeProfile::default();
+        self.exec(0..self.ops.len(), bufs, scratch, &mut prof, threads)?;
+        scratch.profile.runs += 1;
+        scratch.profile.ops_retired += prof.ops_retired;
+        scratch.profile.guards_executed += prof.guards_executed;
+        scratch.profile.intrin_dispatches += prof.intrin_dispatches;
+        Ok(())
+    }
 
+    /// Execute the ops in `ops`, adding what they retire to `prof`.
+    /// Jumps stay inside `ops` or leave it at its end.
+    fn exec<B: Bufs + ?Sized>(
+        &self,
+        ops: Range<usize>,
+        bufs: &mut B,
+        scratch: &mut TapeScratch,
+        prof: &mut TapeProfile,
+        threads: usize,
+    ) -> Result<(), ExecError> {
         // Profile counters stay in locals through the loop (register
-        // pressure over memory traffic) and flush to the scratch once.
+        // pressure over memory traffic) and flush to `prof` once.
         let mut prof_ops = 0u64;
         let mut prof_guards = 0u64;
         let mut prof_intrins = 0u64;
-        let mut ip = 0usize;
-        while ip < self.ops.len() {
+        let mut ip = ops.start;
+        while ip < ops.end {
             prof_ops += 1;
             match &self.ops[ip] {
                 TapeOp::Loop { var } => scratch.env[*var as usize] = 0,
+                TapeOp::Par {
+                    var,
+                    extent,
+                    end,
+                    writes,
+                } => {
+                    let chunks = threads.min(*extent as usize);
+                    if let (true, Some(all)) = (chunks > 1, bufs.whole()) {
+                        let region = (*var as usize, *extent, ip + 1..*end as usize);
+                        self.split(region, writes, all, scratch, prof, chunks)?;
+                        ip = *end as usize + 1;
+                        continue;
+                    }
+                    scratch.env[*var as usize] = 0;
+                }
                 TapeOp::End { var, extent, top } => {
                     let v = &mut scratch.env[*var as usize];
                     *v += 1;
@@ -578,7 +814,7 @@ impl Tape {
                         &mut scratch.val_stack,
                     )?;
                     let at = addr.eval(&scratch.env, &mut scratch.idx_stack)?;
-                    bufs[addr.buffer as usize].set(at, v);
+                    bufs.set(addr.buffer, at, v);
                 }
                 TapeOp::Intrin { id } => {
                     prof_intrins += 1;
@@ -616,34 +852,34 @@ impl Tape {
                 }
                 TapeOp::EpiEw { chain } => {
                     let e = self.epi.expect("epilogue op on a tape without a region");
-                    let (g, out) = (e.geom, e.out as usize);
-                    let dtype = bufs[out].dtype;
+                    let (g, out) = (e.geom, e.out);
+                    let dtype = bufs.buf(out).dtype;
                     for b in 0..g.batch {
                         for i in 0..g.rows {
                             for j in 0..g.cols {
                                 let at = g.flat(b, i, j);
-                                let mut x = cell_to_i64(bufs[out].get(at));
+                                let mut x = cell_to_i64(bufs.buf(out).get(at));
                                 for step in chain.iter() {
                                     x = match *step {
                                         EwStep::Bias { buf } => {
-                                            x + cell_to_i64(bufs[buf as usize].get(j as usize))
+                                            x + cell_to_i64(bufs.buf(buf).get(j as usize))
                                         }
                                         EwStep::Add { buf } => {
                                             let r = ((b * g.rows + i) * g.cols + j) as usize;
-                                            x + cell_to_i64(bufs[buf as usize].get(r))
+                                            x + cell_to_i64(bufs.buf(buf).get(r))
                                         }
                                         EwStep::Relu => x.max(0),
                                         EwStep::Quant => requantize(x),
                                     };
                                 }
-                                bufs[out].set(at, i64_to_cell(dtype, x));
+                                bufs.set(out, at, i64_to_cell(dtype, x));
                             }
                         }
                     }
                 }
                 TapeOp::EpiRowStat { kind } => {
                     let e = self.epi.expect("epilogue op on a tape without a region");
-                    let (g, out) = (e.geom, e.out as usize);
+                    let (g, out) = (e.geom, bufs.buf(e.out));
                     for b in 0..g.batch {
                         for i in 0..g.rows {
                             let row = (b * g.rows + i) as usize;
@@ -651,21 +887,21 @@ impl Tape {
                                 RowStatKind::Max => {
                                     let mut m = i64::MIN;
                                     for j in 0..g.cols {
-                                        m = m.max(cell_to_i64(bufs[out].get(g.flat(b, i, j))));
+                                        m = m.max(cell_to_i64(out.get(g.flat(b, i, j))));
                                     }
                                     scratch.row_a[row] = m;
                                 }
                                 RowStatKind::Sum => {
                                     let mut s = 0i64;
                                     for j in 0..g.cols {
-                                        s += cell_to_i64(bufs[out].get(g.flat(b, i, j)));
+                                        s += cell_to_i64(out.get(g.flat(b, i, j)));
                                     }
                                     scratch.row_a[row] = s;
                                 }
                                 RowStatKind::MeanSigma => {
                                     for j in 0..g.cols {
                                         scratch.row_tmp[j as usize] =
-                                            cell_to_i64(bufs[out].get(g.flat(b, i, j)));
+                                            cell_to_i64(out.get(g.flat(b, i, j)));
                                     }
                                     let (mean, sigma) = mean_sigma(&scratch.row_tmp);
                                     scratch.row_a[row] = mean;
@@ -677,14 +913,14 @@ impl Tape {
                 }
                 TapeOp::EpiRowApply { kind } => {
                     let e = self.epi.expect("epilogue op on a tape without a region");
-                    let (g, out) = (e.geom, e.out as usize);
-                    let dtype = bufs[out].dtype;
+                    let (g, out) = (e.geom, e.out);
+                    let dtype = bufs.buf(out).dtype;
                     for b in 0..g.batch {
                         for i in 0..g.rows {
                             let row = (b * g.rows + i) as usize;
                             for j in 0..g.cols {
                                 let at = g.flat(b, i, j);
-                                let x = cell_to_i64(bufs[out].get(at));
+                                let x = cell_to_i64(bufs.buf(out).get(at));
                                 let y = match kind {
                                     RowApplyKind::Exp => exp_q15(scratch.row_a[row] - x),
                                     RowApplyKind::Prob => softmax_prob(x, scratch.row_a[row]),
@@ -692,7 +928,7 @@ impl Tape {
                                         layernorm_cell(x, scratch.row_a[row], scratch.row_b[row])
                                     }
                                 };
-                                bufs[out].set(at, i64_to_cell(dtype, y));
+                                bufs.set(out, at, i64_to_cell(dtype, y));
                             }
                         }
                     }
@@ -700,10 +936,111 @@ impl Tape {
             }
             ip += 1;
         }
-        scratch.profile.runs += 1;
-        scratch.profile.ops_retired += prof_ops;
-        scratch.profile.guards_executed += prof_guards;
-        scratch.profile.intrin_dispatches += prof_intrins;
+        prof.ops_retired += prof_ops;
+        prof.guards_executed += prof_guards;
+        prof.intrin_dispatches += prof_intrins;
+        Ok(())
+    }
+
+    /// Run a parallel region, `(var, extent, body ops)`, as `chunks`
+    /// contiguous slices of `[0, extent)`: the caller runs the first on
+    /// `scratch`, scoped threads the rest on scratches of their own.
+    /// Every chunk reads the buffers outside `writes` shared and writes a
+    /// private copy of those in `writes` ([`ChunkBufs`]).
+    ///
+    /// Invariant: chunks write disjoint elements. `Schedule::annotate`
+    /// admits `parallel` only on data-parallel loops, and distinct
+    /// iterations of a data-parallel loop write distinct output elements
+    /// and read back only their own, so merging each chunk's writes into
+    /// `bufs` in iteration order reproduces the serial run bit for bit.
+    /// Debug builds check the invariant at the merge.
+    ///
+    /// A failing chunk ends the merge where a serial run would have
+    /// stopped: earlier chunks merge whole, the failing one up to its
+    /// error, later ones not at all, and its error is returned. A chunk's
+    /// panic resumes on the caller.
+    fn split(
+        &self,
+        (var, extent, body): (usize, i64, Range<usize>),
+        writes: &[u32],
+        bufs: &mut [TypedBuf],
+        scratch: &mut TapeScratch,
+        prof: &mut TapeProfile,
+        chunks: usize,
+    ) -> Result<(), ExecError> {
+        let run_chunk = |c: usize, view: &mut ChunkBufs, sc: &mut TapeScratch| -> ChunkOutcome {
+            let n = chunks as i64;
+            let mut p = TapeProfile::default();
+            for v in extent * c as i64 / n..extent * (c as i64 + 1) / n {
+                sc.env[var] = v;
+                if let Err(e) = self.exec(body.clone(), view, sc, &mut p, 1) {
+                    return (Err(e), p);
+                }
+                // The region's `End`, retired once per iteration as in a
+                // serial run.
+                p.ops_retired += 1;
+            }
+            (Ok(()), p)
+        };
+        let run_chunk = &run_chunk;
+        let shared: &[TypedBuf] = bufs;
+        let mut views: Vec<ChunkBufs> = (0..chunks)
+            .map(|_| ChunkBufs::new(shared, writes))
+            .collect();
+        let mut scratches: Vec<TapeScratch> = (1..chunks)
+            .map(|_| {
+                let mut sc = self.scratch();
+                sc.env.copy_from_slice(&scratch.env);
+                sc
+            })
+            .collect();
+        let outcomes: Vec<thread::Result<ChunkOutcome>> = thread::scope(|s| {
+            let (first, rest) = views.split_first_mut().expect("a region has chunks");
+            let handles: Vec<_> = rest
+                .iter_mut()
+                .zip(&mut scratches)
+                .enumerate()
+                .map(|(c, (view, sc))| s.spawn(move || run_chunk(c + 1, view, sc)))
+                .collect();
+            let mut outcomes = vec![Ok(run_chunk(0, first, scratch))];
+            outcomes.extend(handles.into_iter().map(|h| h.join()));
+            outcomes
+        });
+        let owned: Vec<Vec<Option<Private>>> = views.into_iter().map(|v| v.own).collect();
+        scratch.threads = scratch.threads.max(chunks);
+
+        // Debug builds record which chunk wrote each element of the
+        // write set, to check the disjoint-writes invariant.
+        let mut writer: Vec<Vec<Option<usize>>> = if cfg!(debug_assertions) {
+            writes
+                .iter()
+                .map(|&id| vec![None; bufs[id as usize].len()])
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for (c, (outcome, mut own)) in outcomes.into_iter().zip(owned).enumerate() {
+            let (result, p) = outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (k, &id) in writes.iter().enumerate() {
+                let private = own[id as usize].take().expect("write set is private");
+                let dst = &mut bufs[id as usize];
+                for (at, _) in private.written.iter().enumerate().filter(|(_, w)| **w) {
+                    if let Some(writer) = writer.get_mut(k) {
+                        if let Some(other) = writer[at].replace(c) {
+                            panic!(
+                                "parallel region over v{var}: chunks {other} and {c} both wrote \
+                                 element {at} of buffer {id}"
+                            );
+                        }
+                    }
+                    dst.set(at, private.buf.get(at));
+                }
+            }
+            result?;
+            prof.ops_retired += p.ops_retired;
+            prof.guards_executed += p.guards_executed;
+            prof.intrin_dispatches += p.intrin_dispatches;
+        }
         Ok(())
     }
 
@@ -717,9 +1054,9 @@ impl Tape {
         self.run(bufs, &mut self.scratch())
     }
 
-    fn value(
+    fn value<B: Bufs + ?Sized>(
         ops: &[SOp],
-        bufs: &[TypedBuf],
+        bufs: &B,
         env: &[i64],
         idx_stack: &mut Vec<i64>,
         stack: &mut Vec<Scalar>,
@@ -730,7 +1067,7 @@ impl Tape {
                 SOp::Const(s) => stack.push(*s),
                 SOp::Load(addr) => {
                     let at = addr.eval(env, idx_stack)?;
-                    stack.push(bufs[addr.buffer as usize].get(at));
+                    stack.push(bufs.buf(addr.buffer).get(at));
                 }
                 SOp::Cast { from, to } => {
                     let v = stack.pop().expect("cast operand");
@@ -746,15 +1083,15 @@ impl Tape {
         Ok(stack.pop().expect("value result"))
     }
 
-    fn gather(
+    fn gather<B: Bufs + ?Sized>(
         plan: &OperandPlan,
-        bufs: &[TypedBuf],
+        bufs: &B,
         env: &[i64],
         idx_stack: &mut Vec<i64>,
         reg: &mut TypedBuf,
     ) -> Result<(), ExecError> {
         let base = plan.base.eval(env, idx_stack);
-        let buf = &bufs[plan.buffer as usize];
+        let buf = bufs.buf(plan.buffer);
         for &(reg_at, mem_off) in plan.lanes.iter() {
             let at = base + mem_off;
             if plan.checked && (at < 0 || at as usize >= plan.len) {
@@ -769,15 +1106,14 @@ impl Tape {
         Ok(())
     }
 
-    fn scatter(
+    fn scatter<B: Bufs + ?Sized>(
         plan: &OperandPlan,
-        bufs: &mut [TypedBuf],
+        bufs: &mut B,
         env: &[i64],
         idx_stack: &mut Vec<i64>,
         reg: &TypedBuf,
     ) -> Result<(), ExecError> {
         let base = plan.base.eval(env, idx_stack);
-        let buf = &mut bufs[plan.buffer as usize];
         for &(reg_at, mem_off) in plan.lanes.iter() {
             let at = base + mem_off;
             if plan.checked && (at < 0 || at as usize >= plan.len) {
@@ -787,7 +1123,7 @@ impl Tape {
                     len: plan.len,
                 });
             }
-            buf.set(at as usize, reg.get(reg_at as usize));
+            bufs.set(plan.buffer, at as usize, reg.get(reg_at as usize));
         }
         Ok(())
     }
@@ -798,6 +1134,26 @@ struct Compiler<'a> {
     ops: Vec<TapeOp>,
     intrins: Vec<CompiledIntrin>,
     stats: TapeStats,
+    /// Intrinsic calls per entry a `parallel` loop needs to become a
+    /// region ([`MIN_SPLIT_CALLS`] outside tests).
+    min_split_calls: i64,
+    /// Whether the statement being compiled sits inside a `parallel`
+    /// loop (nested ones compile serial).
+    under_parallel: bool,
+}
+
+/// Intrinsic calls one execution of `s` makes at most (guards assumed
+/// taken): the work estimate behind [`MIN_SPLIT_CALLS`].
+fn intrin_calls(s: &Stmt) -> i64 {
+    match s {
+        Stmt::For(fs) => fs.extent.max(0).saturating_mul(intrin_calls(&fs.body)),
+        Stmt::Seq(items) => items
+            .iter()
+            .fold(0i64, |n, st| n.saturating_add(intrin_calls(st))),
+        Stmt::IfLikely { body, .. } => intrin_calls(body),
+        Stmt::Intrin(_) => 1,
+        Stmt::Store(_) | Stmt::Sync | Stmt::Nop => 0,
+    }
 }
 
 impl Compiler<'_> {
@@ -905,14 +1261,31 @@ impl Compiler<'_> {
                 if fs.extent <= 0 {
                     return Ok(()); // statically empty: emit nothing
                 }
-                let top = self.ops.len() as u32 + 1;
+                let parallel = fs.kind == LoopKind::Parallel;
+                let region = parallel
+                    && !self.under_parallel
+                    && fs.extent.saturating_mul(intrin_calls(&fs.body)) >= self.min_split_calls;
+                let head = self.ops.len();
                 self.ops.push(TapeOp::Loop { var: fs.var.0 });
+                let outer = self.under_parallel;
+                self.under_parallel |= parallel;
                 self.stmt(&fs.body)?;
+                self.under_parallel = outer;
+                let end = self.ops.len();
                 self.ops.push(TapeOp::End {
                     var: fs.var.0,
                     extent: fs.extent,
-                    top,
+                    top: head as u32 + 1,
                 });
+                if region {
+                    self.ops[head] = TapeOp::Par {
+                        var: fs.var.0,
+                        extent: fs.extent,
+                        end: end as u32,
+                        writes: self.writes(head + 1..end),
+                    };
+                    self.stats.parallel_loops += 1;
+                }
                 Ok(())
             }
             Stmt::Seq(items) => {
@@ -939,6 +1312,21 @@ impl Compiler<'_> {
             }
             Stmt::Sync | Stmt::Nop => Ok(()),
         }
+    }
+
+    /// The buffers the ops in `body` write, sorted and deduplicated.
+    fn writes(&self, body: Range<usize>) -> Box<[u32]> {
+        let mut ids: Vec<u32> = self.ops[body]
+            .iter()
+            .filter_map(|op| match op {
+                TapeOp::Store { addr, .. } => Some(addr.buffer),
+                TapeOp::Intrin { id } => Some(self.intrins[*id as usize].dst.buffer),
+                _ => None,
+            })
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.into()
     }
 
     /// Compile a guarded body, discharging statically decidable conditions.
@@ -1290,6 +1678,201 @@ mod tests {
             .filter(|o| matches!(o, TapeOp::EpiEw { .. }))
             .count();
         assert_eq!(ew, 2, "consecutive elementwise ops must batch");
+    }
+
+    /// The kernels the pipeline serves for perfbench's `ops-openloop`
+    /// menu on the CPU targets (the tuner at `max_pairs: 8`), plus the
+    /// engine's batch-4 fusion of the 32³ GEMM (a batched GEMM compiled
+    /// at the served kernel's replay config), as `(label, function)`.
+    fn served_menu() -> Vec<(String, TirFunc)> {
+        use unit_core::pipeline::{Target, TuningConfig};
+        use unit_core::tuner::{CpuTuneMode, GpuTuneMode};
+        use unit_graph::compile::UnitProvider;
+        use unit_graph::{CacheWorkload, OpSpec};
+        let tuning = TuningConfig {
+            cpu: CpuTuneMode::Tuned { max_pairs: 8 },
+            gpu: GpuTuneMode::Tuned,
+        };
+        let menu = [
+            OpSpec::batched_gemm(2, 8, 16, 16),
+            OpSpec::gemm(32, 32, 32),
+            OpSpec::conv2d(16, 8, 16, 1, 1, 0),
+            OpSpec::depthwise(8, 8, 3, 1, 1),
+        ];
+        let fused = OpSpec::Gemm {
+            m: 32,
+            n: 32,
+            k: 32,
+            batch: 4,
+        };
+        let mut kernels = Vec::new();
+        for id in ["x86-avx512-vnni", "arm-neon-dot", "arm-i8mm-smmla"] {
+            let target = Target::by_id(id).expect("registered target");
+            let compile = |config, op: OpSpec| {
+                UnitProvider::new(target.clone(), config)
+                    .compile_workload_full(&CacheWorkload::Op(op))
+            };
+            for op in menu {
+                let served = compile(tuning, op);
+                if op == OpSpec::gemm(32, 32, 32) {
+                    let batch = compile(served.replay, fused);
+                    kernels.push((format!("{id} fused {}", fused.describe()), batch.func));
+                }
+                kernels.push((format!("{id} {}", op.describe()), served.func));
+            }
+        }
+        kernels
+    }
+
+    /// Run `tape` on seed `seed`'s inputs, splitting parallel regions
+    /// across at most `threads` threads: the buffers, the counters, the
+    /// widest split and the result.
+    fn run_split(
+        tape: &Tape,
+        func: &TirFunc,
+        seed: u64,
+        threads: usize,
+    ) -> (Vec<TypedBuf>, TapeProfile, usize, Result<(), ExecError>) {
+        let mut bufs = alloc_buffers(func);
+        random_fill(&mut bufs, seed);
+        let mut scratch = tape.scratch();
+        let result = tape.run_on(&mut bufs, &mut scratch, threads);
+        (bufs, scratch.profile(), scratch.threads(), result)
+    }
+
+    /// The extent of the widest parallel region on `tape`.
+    fn region_extent(tape: &Tape) -> usize {
+        tape.ops
+            .iter()
+            .filter_map(|op| match op {
+                TapeOp::Par { extent, .. } => Some(*extent as usize),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Splitting the regions across 2, 3 and one thread per iteration
+    /// (extent + 1) reproduces the 1-thread run: buffers bit for bit,
+    /// counters and result.
+    fn assert_splits_match_serial(tape: &Tape, func: &TirFunc, seed: u64, what: &str) {
+        let extent = region_extent(tape);
+        assert!(extent > 1, "{what}: no region to split");
+        let (bufs, profile, threads, result) = run_split(tape, func, seed, 1);
+        assert_eq!(threads, 1, "{what}: one thread never splits");
+        for n in [2, 3, extent + 1] {
+            let split = run_split(tape, func, seed, n);
+            assert_eq!(split.0, bufs, "{what}: buffers at {n} threads");
+            assert_eq!(split.1, profile, "{what}: profile at {n} threads");
+            assert_eq!(split.2, n.min(extent), "{what}: chunks at {n} threads");
+            assert_eq!(split.3, result, "{what}: result at {n} threads");
+        }
+    }
+
+    #[test]
+    fn served_kernels_split_bit_identically_at_every_thread_count() {
+        let mut split = 0;
+        for (what, func) in served_menu() {
+            let parallel = unit_tir::printer::print_func(&func).contains("parallel (");
+            // Ungated, every parallel kernel splits, including the
+            // depthwise SIMD fallback whose body is all `Store` ops.
+            let tape = Tape::compile_gated(&func, 0).unwrap();
+            assert_eq!(tape.stats().parallel_loops, usize::from(parallel), "{what}");
+            // The spawn gate keeps exactly the intrinsic-free body serial.
+            let gated = Tape::compile(&func).unwrap().stats().parallel_loops;
+            let tensorized = tape.stats().intrin_sites > 0;
+            assert_eq!(gated, usize::from(parallel && tensorized), "{what}: gate");
+            if parallel {
+                assert_splits_match_serial(&tape, &func, 7, &what);
+                split += 1;
+            }
+        }
+        // Every menu kernel but the VNNI batched GEMM (fully unrolled)
+        // has a parallel loop.
+        assert_eq!(split, 14);
+    }
+
+    #[test]
+    fn a_guarded_region_whose_extent_no_split_divides_matches_serial() {
+        // 30 rows tiled by 8: the parallel outer loop runs 4 iterations,
+        // the last one under a residue guard, split 2, 3 and 5 ways.
+        let op = matmul_u8i8(30, 10, 12);
+        let mut s = Schedule::new(&op);
+        let ls = s.leaves();
+        let (outer, _) = s.split(ls[0], 8).unwrap();
+        s.annotate(outer, unit_tir::LoopKind::Parallel).unwrap();
+        let func = lower(&s, "mm_resid").unwrap();
+        let tape = Tape::compile_gated(&func, 0).unwrap();
+        assert_eq!(region_extent(&tape), 4);
+        assert!(tape.ops.iter().any(|op| matches!(op, TapeOp::Guard { .. })));
+        assert_splits_match_serial(&tape, &func, 5, "mm_resid");
+        let mut oracle = alloc_buffers(&func);
+        random_fill(&mut oracle, 5);
+        run(&func, &mut oracle).unwrap();
+        assert_eq!(run_split(&tape, &func, 5, 3).0, oracle);
+    }
+
+    #[test]
+    fn only_the_outermost_parallel_loop_becomes_a_region() {
+        let op = matmul_u8i8(6, 10, 24);
+        let mut s = Schedule::new(&op);
+        let ls = s.leaves();
+        s.annotate(ls[0], unit_tir::LoopKind::Parallel).unwrap();
+        s.annotate(ls[1], unit_tir::LoopKind::Parallel).unwrap();
+        let func = lower(&s, "mm_nested").unwrap();
+        let tape = Tape::compile_gated(&func, 0).unwrap();
+        assert_eq!(tape.stats().parallel_loops, 1);
+        assert_splits_match_serial(&tape, &func, 2, "mm_nested");
+        // No intrinsic call in the body: it cannot pay for a spawn.
+        assert_eq!(Tape::compile(&func).unwrap().stats().parallel_loops, 0);
+    }
+
+    #[test]
+    fn a_failing_region_returns_the_serial_runs_error_and_buffers() {
+        use unit_tir::{BufferScope, LoopKind, StoreStmt, VarDecl, VarId};
+        // parallel (v0 < 8) { out[v0 + 3] = in[v0] } with an 8-element
+        // `out`: iterations 5, 6 and 7 escape it, and a serial run stops
+        // at the first of them. One chunk per iteration fails three times.
+        let v = VarId(0);
+        let decl = |id: u32, name: &str| BufferDecl {
+            id: BufId(id),
+            name: name.to_string(),
+            shape: vec![8],
+            dtype: DType::I32,
+            scope: BufferScope::Global,
+        };
+        let store = Stmt::Store(StoreStmt {
+            buffer: BufId(1),
+            indices: vec![IdxExpr::Var(v).add(IdxExpr::Const(3))],
+            value: TExpr::Load {
+                buffer: BufId(0),
+                indices: vec![IdxExpr::Var(v)],
+            },
+        });
+        let func = TirFunc {
+            name: "escape".to_string(),
+            buffers: vec![decl(0, "in"), decl(1, "out")],
+            vars: vec![VarDecl {
+                id: v,
+                name: "i".to_string(),
+                extent: 8,
+            }],
+            output: BufId(1),
+            body: store.in_loop(v, 8, LoopKind::Parallel),
+            epilogue: None,
+        };
+        let tape = Tape::compile_gated(&func, 0).unwrap();
+        assert_eq!(tape.stats().parallel_loops, 1);
+        let serial = run_split(&tape, &func, 3, 1).3;
+        assert_eq!(
+            serial,
+            Err(ExecError::OutOfBounds {
+                buffer: 1,
+                index: 8,
+                len: 8
+            })
+        );
+        assert_splits_match_serial(&tape, &func, 3, "escape");
     }
 
     #[test]

@@ -234,12 +234,14 @@ impl Kernel {
         if let Some(span) = span {
             let stats = tape.stats();
             span.finish(format!(
-                "func={} ops={} intrin_sites={} elided_guards={} epilogue_ops={}",
+                "func={} ops={} intrin_sites={} elided_guards={} epilogue_ops={} \
+                 parallel_loops={}",
                 self.op.func.name,
                 stats.ops,
                 stats.intrin_sites,
                 stats.elided_guards,
-                stats.epilogue_ops
+                stats.epilogue_ops,
+                stats.parallel_loops
             ));
         }
         Ok(tape)
@@ -681,8 +683,9 @@ impl ServeEngine {
     /// serving `requests` stacked requests, with a `tape_dispatch` or
     /// `interp_dispatch` span on every one of `traces`. On the tape, the
     /// dispatch and its execution profile are accounted in metrics and
-    /// the span carries the run-time counters plus the compile-time
-    /// `elided_guards` contrast.
+    /// the span carries the run-time counters, the compile-time
+    /// `elided_guards` contrast and the threads a parallel region split
+    /// across (`threads=1`: the dispatch ran serially).
     fn dispatch(
         &self,
         kernel: &Kernel,
@@ -707,11 +710,12 @@ impl ServeEngine {
                 for span in spans {
                     span.finish(format!(
                         "func={label} requests={requests} ops_retired={} guards_executed={} \
-                         intrin_dispatches={} elided_guards={}",
+                         intrin_dispatches={} elided_guards={} threads={}",
                         prof.ops_retired,
                         prof.guards_executed,
                         prof.intrin_dispatches,
-                        tape.stats().elided_guards
+                        tape.stats().elided_guards,
+                        scratch.threads()
                     ));
                 }
             }
@@ -1807,14 +1811,29 @@ mod tests {
         // same-shape GEMM batch, a fused whole-model forward) in both
         // executors: the dispatch spans each trace carries, the keys of
         // every `tape_dispatch` span, and tape counters that move by
-        // exactly what those spans report.
+        // exactly what those spans report. A second case serves an op
+        // whose CPU kernel has a parallel region on the one-op and batch
+        // paths: the NEON 32³ GEMM compiles to `parallel (v10 < 32)` at
+        // `max_pairs: 8`.
         use unit_core::tuner::{CpuTuneMode, GpuTuneMode};
         let tuning = TuningConfig {
             cpu: CpuTuneMode::Tuned { max_pairs: 2 },
             gpu: GpuTuneMode::Tuned,
         };
-        let target = "x86-avx512-vnni";
-        let op = OpSpec::gemm(8, 16, 16);
+        let parallel_tuning = TuningConfig {
+            cpu: CpuTuneMode::Tuned { max_pairs: 8 },
+            gpu: GpuTuneMode::Tuned,
+        };
+        let cases = [
+            (tuning, "x86-avx512-vnni", OpSpec::gemm(8, 16, 16), false),
+            (
+                parallel_tuning,
+                "arm-neon-dot",
+                OpSpec::gemm(32, 32, 32),
+                true,
+            ),
+        ];
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
         let micro = crate::model_graph("transformer-micro").unwrap();
         let field = |detail: &str, key: &str| -> Option<u64> {
             let value = detail
@@ -1822,7 +1841,10 @@ mod tests {
                 .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))?;
             Some(value.parse().unwrap_or(0))
         };
-        for mode in [ExecMode::Tape, ExecMode::Interp] {
+        let runs = [ExecMode::Tape, ExecMode::Interp]
+            .into_iter()
+            .flat_map(|mode| cases.map(|case| (mode, case)));
+        for (mode, (tuning, target, op, parallel)) in runs {
             let engine = ServeEngine::new(tuning).with_exec_mode(mode).with_tracing();
             let counters = || {
                 let m = engine.metrics();
@@ -1841,6 +1863,7 @@ mod tests {
                          dispatches: usize,
                          fused_requests: u64| {
                 let mut details: Vec<Vec<String>> = Vec::new();
+                let mut compiles: Vec<String> = Vec::new();
                 for handle in traces.iter().flatten() {
                     engine.finish_trace(handle);
                     let spans = engine.tracer().get(handle.id()).unwrap().spans();
@@ -1861,6 +1884,12 @@ mod tests {
                             .map(|s| s.detail.clone())
                             .collect(),
                     );
+                    compiles.extend(
+                        spans
+                            .iter()
+                            .filter(|s| s.name == "tape_compile")
+                            .map(|s| s.detail.clone()),
+                    );
                 }
                 assert_eq!(details.len(), traces.len(), "{path}: every trace finished");
                 assert!(
@@ -1870,6 +1899,22 @@ mod tests {
                 for detail in &details[0] {
                     for key in ["func", "ops_retired", "intrin_dispatches"] {
                         assert!(field(detail, key).is_some(), "`{key}` missing: {detail}");
+                    }
+                }
+                for detail in &details[0] {
+                    assert!(field(detail, "threads") >= Some(1), "`threads`: {detail}");
+                }
+                if parallel && mode == ExecMode::Tape {
+                    // The served kernel (and its batch fusion) must
+                    // keep its region, so the case cannot go serial.
+                    assert!(!compiles.is_empty(), "{path}: a traced tape compile");
+                    for detail in &compiles {
+                        let loops = field(detail, "parallel_loops");
+                        assert!(loops > Some(0), "{path}: no parallel region: {detail}");
+                    }
+                    for detail in &details[0] {
+                        let threads = field(detail, "threads").unwrap();
+                        assert_eq!(threads > 1, cores > 1, "{path}: split: {detail}");
                     }
                 }
                 let sum =
@@ -1909,6 +1954,9 @@ mod tests {
             assert_eq!(outs.len(), 3);
             check("batch", &traces, before, 1, 3);
 
+            if parallel {
+                continue;
+            }
             let traces = vec![engine.tracer().begin("model")];
             let before = counters();
             let out = engine
