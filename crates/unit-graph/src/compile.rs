@@ -20,7 +20,6 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use unit_core::pipeline::{StageTimings, Target, Tensorizer, TuningConfig};
 use unit_core::tuner::{parallel_map, CpuTuneMode, GpuTuneMode};
-use unit_dsl::DType;
 use unit_sim::estimate_cpu;
 use unit_tir::{lower::lower, EpiGeom, LoopKind, Schedule, TirFunc};
 
@@ -529,14 +528,6 @@ impl UnitProvider {
     #[must_use]
     pub fn cache(&self) -> &Arc<KernelCache> {
         &self.cache
-    }
-
-    /// Quantization convention of the target:
-    /// (lanes, reduction width, data dtype, weight dtype) — straight from
-    /// the target descriptor.
-    #[must_use]
-    pub fn conv_blocking(&self) -> (i64, i64, DType, DType) {
-        self.target.desc.blocking()
     }
 
     fn clock_ghz(&self) -> f64 {

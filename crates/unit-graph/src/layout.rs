@@ -520,13 +520,6 @@ pub fn grouped_conv_gemm(
     )
 }
 
-/// A grouped convolution as batched implicit GEMM in the fp16 WMMA
-/// convention (the built-in Tensor Core path).
-#[must_use]
-pub fn grouped_conv_gemm_f16(spec: &ConvSpec, groups: i64) -> ComputeOp {
-    grouped_conv_gemm(spec, groups, 16, 16, DType::F16, DType::F16)
-}
-
 /// A dense (fully connected) layer in a target's convention: one row-tile
 /// GEMM for matrix-unit (GPU-style) targets, the `[lanes]/[rwidth]`
 /// blocked form for CPU-style targets. Blocking and dtypes come from the

@@ -2,7 +2,7 @@
 
 use unit_dsl::DType;
 
-use crate::ir::{Graph, GraphBuilder, NodeId, OpKind, TensorShape};
+use crate::ir::{Graph, GraphBuilder, NodeId, OpKind};
 
 /// Quantization: wrap the graph in a `Quantize` entry after each input and
 /// a `Dequantize` exit before the output, marking the interior as the int8
@@ -88,18 +88,10 @@ pub fn kernel_count(graph: &Graph) -> usize {
         .count()
 }
 
-/// Build a `TensorShape` for the quantized domain of a given shape.
-#[must_use]
-pub fn quantized_shape(shape: &TensorShape) -> TensorShape {
-    TensorShape {
-        dims: shape.dims.clone(),
-        dtype: DType::U8,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::TensorShape;
     use crate::workload::ConvSpec;
 
     fn tiny() -> Graph {

@@ -1,18 +1,22 @@
-//! Shared fused-epilogue evaluation over typed buffers.
+//! The fused-epilogue executor over typed buffers.
 //!
-//! Both executors funnel epilogue math through this module: the tree-walk
-//! oracle ([`crate::exec::run`]) calls [`run_epilogue`] after the body
-//! walk, and the instruction tape ([`crate::tape`]) lowers the same
-//! [`unit_tir::Epilogue`] into bytecode whose arms call the *same*
-//! per-cell helpers from [`unit_tir::epilogue`]. One implementation of
-//! the numerics, two execution strategies — bit identity by construction.
+//! [`run_epilogue`] is the one routine that applies a function's
+//! [`unit_tir::Epilogue`] region to kernel buffers. Both executors call
+//! it once the body has finished: the tree-walk oracle
+//! ([`crate::exec::run`]) after its walk, the instruction tape
+//! ([`crate::tape`]) after its last op, so they agree on every epilogue
+//! by construction. The independent check of the epilogue semantics is
+//! the compact-domain reference in unit-serve
+//! (`model::apply_epilogue_reference`), which the serving suites compare
+//! against the fused kernels.
 //!
 //! All epilogue math is fixed-point over `i64`: cells are read through
 //! [`cell_to_i64`] (floats floor-truncate), transformed exactly, and
-//! written back through [`i64_to_cell`] in the buffer's scalar class.
-//! On float accumulators (the GPU target) the serving value domain keeps
-//! every intermediate below 2^24, so the round-trip through `f32` is
-//! exact and the integer semantics survive unchanged.
+//! written back through [`i64_to_cell`] in the buffer's scalar class
+//! after every instruction. On float accumulators (the GPU target) the
+//! serving value domain keeps every intermediate below 2^24, so the
+//! round-trip through `f32` is exact and the integer semantics survive
+//! unchanged.
 
 use unit_isa::{Scalar, TypedBuf};
 use unit_tir::epilogue::{
@@ -43,57 +47,75 @@ pub fn i64_to_cell(dtype: unit_dsl::DType, v: i64) -> Scalar {
     }
 }
 
-/// Apply a function's epilogue region to its output buffer, reference
-/// style: one full pass over the logical cells per instruction, row
-/// reductions gathered per row. This is the differential oracle the
-/// tape's fused arms are validated against.
+/// Check an epilogue region against the buffers it binds, `len(i)`
+/// being the length of buffer `i` of `count`: the geometry must fit the
+/// output, and every operand must name a buffer long enough for its op's
+/// access pattern. [`crate::tape::Tape::compile`] runs it against the
+/// declarations, [`run_epilogue`] against the buffers.
 ///
 /// # Errors
 ///
-/// [`ExecError::BufferDecl`] when the geometry escapes the output buffer
-/// or an operand buffer is smaller than its declaration demands;
-/// [`ExecError::BufferCount`] when an operand id is out of range.
-pub fn run_epilogue(epi: &Epilogue, output: BufId, bufs: &mut [TypedBuf]) -> Result<(), ExecError> {
+/// The errors [`run_epilogue`] documents.
+pub(crate) fn check_epilogue(
+    epi: &Epilogue,
+    output: BufId,
+    count: usize,
+    len: impl Fn(usize) -> usize,
+) -> Result<(), ExecError> {
     let g = epi.geom;
-    let out_ix = output.0 as usize;
-    if out_ix >= bufs.len() {
-        return Err(ExecError::BufferCount {
-            expected: out_ix + 1,
-            got: bufs.len(),
-        });
-    }
-    if !g.fits(bufs[out_ix].len()) {
+    let in_range = |ix: usize| {
+        if ix < count {
+            Ok(ix)
+        } else {
+            Err(ExecError::BufferCount {
+                expected: ix + 1,
+                got: count,
+            })
+        }
+    };
+    let out_len = len(in_range(output.0 as usize)?);
+    if !g.fits(out_len) {
         return Err(ExecError::BufferDecl(format!(
-            "epilogue geometry {g:?} escapes output of {} elements",
-            bufs[out_ix].len()
+            "epilogue geometry {g:?} escapes output b{} of {out_len} elements",
+            output.0
         )));
     }
+    for instr in &epi.instrs {
+        let Some(id) = instr.operand else { continue };
+        let ix = in_range(id.0 as usize)?;
+        let need = match instr.op {
+            EpiOp::Bias => g.cols,
+            EpiOp::Add => g.batch * g.rows * g.cols,
+            _ => 0,
+        } as usize;
+        if len(ix) < need {
+            return Err(ExecError::BufferDecl(format!(
+                "epilogue operand b{ix} holds {} elements, needs {need}",
+                len(ix)
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Apply a function's epilogue region to its output buffer: one full
+/// pass over the logical cells per instruction, each cell stored back in
+/// the output's dtype, row reductions gathered per row (a softmax or
+/// layernorm allocates one row buffer per call).
+///
+/// # Errors
+///
+/// Before any cell changes: [`ExecError::BufferCount`] when the output
+/// or an operand id is out of range; [`ExecError::BufferDecl`] when the
+/// geometry escapes the output or an operand buffer is shorter than its
+/// op reads.
+pub fn run_epilogue(epi: &Epilogue, output: BufId, bufs: &mut [TypedBuf]) -> Result<(), ExecError> {
+    check_epilogue(epi, output, bufs.len(), |i| bufs[i].len())?;
+    let g = epi.geom;
+    let out_ix = output.0 as usize;
     let dtype = bufs[out_ix].dtype;
     for instr in &epi.instrs {
-        let operand = match instr.operand {
-            Some(id) => {
-                let ix = id.0 as usize;
-                if ix >= bufs.len() {
-                    return Err(ExecError::BufferCount {
-                        expected: ix + 1,
-                        got: bufs.len(),
-                    });
-                }
-                let need = match instr.op {
-                    EpiOp::Bias => g.cols,
-                    EpiOp::Add => g.batch * g.rows * g.cols,
-                    _ => 0,
-                } as usize;
-                if bufs[ix].len() < need {
-                    return Err(ExecError::BufferDecl(format!(
-                        "epilogue operand b{ix} holds {} elements, needs {need}",
-                        bufs[ix].len()
-                    )));
-                }
-                Some(ix)
-            }
-            None => None,
-        };
+        let operand = instr.operand.map(|id| id.0 as usize);
         match instr.op {
             EpiOp::Bias | EpiOp::Add | EpiOp::Relu | EpiOp::Quant => {
                 for b in 0..g.batch {

@@ -115,9 +115,8 @@ pub fn run(func: &TirFunc, bufs: &mut [TypedBuf]) -> Result<(), ExecError> {
         env: vec![0; func.vars.len()],
     };
     interp.stmt(&func.body)?;
-    // Fused epilogue region: the oracle applies it reference-style, one
-    // pass per instruction (the tape executes the same region inside its
-    // dispatch loop — see `tape`).
+    // Fused epilogue region, applied after the body by the one epilogue
+    // executor (the tape calls the same routine after its last op).
     if let Some(epi) = &func.epilogue {
         crate::epilogue::run_epilogue(epi, func.output, interp.bufs)?;
     }

@@ -17,7 +17,8 @@
 //! ([`exec::run`], the differential oracle) and the compiled instruction
 //! tape ([`tape::Tape`], the serving fast path — lower once, replay from
 //! a reused register file, split parallel loops across cores). They are
-//! validated against each other bit-for-bit.
+//! validated against each other bit-for-bit. Both apply a function's
+//! fused epilogue through one routine, [`epilogue::run_epilogue`].
 //!
 //! # Example
 //!

@@ -20,9 +20,6 @@
 //!   | `Guard` | conditions, exit            | jump `exit` unless all `index < bound` hold |
 //!   | `Store` | addr program, value program | evaluate RPN value, write buffer |
 //!   | `Intrin`| compiled-intrinsic id       | gather → emulate → scatter       |
-//!   | `EpiEw` | fused elementwise chain     | one pass over the logical output cells applying bias / residual add / relu / requantize per cell |
-//!   | `EpiRowStat` | reduction kind         | per-row max / sum / mean+sigma into the scratch row file |
-//!   | `EpiRowApply`| pointwise kind         | per-cell exp / softmax-normalize / layernorm against the row file |
 //!
 //! * **Intrinsics resolved at compile time.** Each [`unit_tir::IntrinStmt`]
 //!   site becomes a compiled-intrinsic record: the registry handle is looked up
@@ -45,14 +42,22 @@
 //!   The chunks' writes and counters merge back in iteration order, so
 //!   buffers and [`TapeProfile`] equal the serial run's bit for bit.
 //!   Nested parallel loops, the epilogue and the tree walker stay serial.
+//! * **Epilogue region.** A function's fused epilogue (bias, residual
+//!   add, ReLU, requantize, softmax, layernorm) is not tape bytecode:
+//!   [`Tape::compile`] checks the region against the buffer
+//!   declarations, and [`Tape::run`] applies it through
+//!   [`run_epilogue`] on the caller's buffers once the body has finished
+//!   and every parallel region has joined — the routine the tree walker
+//!   runs, so the two agree on every epilogue by construction.
 //! * **Reusable register file.** [`TapeScratch`] preallocates the loop
 //!   environment, evaluation stacks and per-site intrinsic registers. A
-//!   steady-state [`Tape::run`] of a tape without intrinsic sites or
-//!   parallel regions performs no heap allocation. Each intrinsic call
-//!   still allocates inside the instruction emulation
-//!   ([`unit_isa::execute`], hundreds of allocations per call), and each
-//!   parallel region allocates its chunks' scratches and buffer copies
-//!   per run.
+//!   steady-state [`Tape::run`] of a tape without intrinsic sites,
+//!   parallel regions or a softmax or layernorm epilogue performs no
+//!   heap allocation. Each intrinsic call still allocates inside the
+//!   instruction emulation ([`unit_isa::execute`], hundreds of
+//!   allocations per call), each parallel region allocates its chunks'
+//!   scratches and buffer copies per run, and a softmax or layernorm
+//!   epilogue allocates one row buffer per run.
 //!
 //! The tree-walk interpreter remains the differential oracle: both engines
 //! share [`OperandSpec::for_each_lane`] and must produce bit-identical
@@ -82,14 +87,12 @@ use std::thread;
 
 use unit_dsl::{BinOp, DType};
 use unit_isa::{registry, Scalar, TensorIntrinsic, TypedBuf};
-use unit_tir::epilogue::{
-    exp_q15, layernorm_cell, mean_sigma, requantize, softmax_prob, EpiGeom, EpiOp,
-};
 use unit_tir::{
-    BufId, BufferDecl, Guard, IdxExpr, IntrinStmt, LoopKind, OperandSpec, Stmt, TExpr, TirFunc,
+    BufId, BufferDecl, Epilogue, Guard, IdxExpr, IntrinStmt, LoopKind, OperandSpec, Stmt, TExpr,
+    TirFunc,
 };
 
-use crate::epilogue::{cell_to_i64, i64_to_cell};
+use crate::epilogue::{check_epilogue, run_epilogue};
 use crate::exec::ExecError;
 
 /// One step of a compiled non-affine index program (RPN over `env`).
@@ -282,42 +285,6 @@ struct CompiledIntrin {
     out_reg: u32,
 }
 
-/// One step of a fused elementwise epilogue chain (all math over exact
-/// `i64` cell values — see [`crate::epilogue`]).
-#[derive(Debug, Clone, Copy)]
-enum EwStep {
-    /// `x += bias[j]`, `bias` being buffer `buf`.
-    Bias { buf: u32 },
-    /// `x += residual[b, i, j]`, `residual` being buffer `buf`.
-    Add { buf: u32 },
-    /// `x = max(0, x)`.
-    Relu,
-    /// `x = requantize(x)`.
-    Quant,
-}
-
-/// Per-row reduction kind for `EpiRowStat`.
-#[derive(Debug, Clone, Copy)]
-enum RowStatKind {
-    /// Row maximum into `row_a` (softmax pass 1).
-    Max,
-    /// Row sum into `row_a` (softmax pass 3).
-    Sum,
-    /// Row mean into `row_a` and `isqrt(var)+1` into `row_b` (layernorm).
-    MeanSigma,
-}
-
-/// Per-cell transform kind for `EpiRowApply`.
-#[derive(Debug, Clone, Copy)]
-enum RowApplyKind {
-    /// `x = exp_q15(row_a - x)` (softmax pass 2).
-    Exp,
-    /// `x = softmax_prob(x, row_a)` (softmax pass 4).
-    Prob,
-    /// `x = layernorm_cell(x, row_a, row_b)`.
-    Norm,
-}
-
 /// One tape instruction. See the module docs for the opcode table.
 enum TapeOp {
     Loop {
@@ -348,23 +315,6 @@ enum TapeOp {
     Intrin {
         id: u32,
     },
-    EpiEw {
-        chain: Box<[EwStep]>,
-    },
-    EpiRowStat {
-        kind: RowStatKind,
-    },
-    EpiRowApply {
-        kind: RowApplyKind,
-    },
-}
-
-/// The epilogue context shared by every `Epi*` op on a tape: which buffer
-/// the region transforms and its logical-vs-padded geometry.
-#[derive(Debug, Clone, Copy)]
-struct TapeEpi {
-    out: u32,
-    geom: EpiGeom,
 }
 
 /// Compile-time statistics, primarily for tests and diagnostics.
@@ -380,9 +330,11 @@ pub struct TapeStats {
     pub checked_accesses: usize,
     /// Residue-guard conditions discharged statically.
     pub elided_guards: usize,
-    /// Epilogue instructions lowered into the tape (bias, relu, residual
-    /// add, requantize, softmax, layernorm sites executing inside the
-    /// dispatch loop instead of as reference passes).
+    /// Instructions of the function's epilogue region (bias, relu,
+    /// residual add, requantize, softmax, layernorm), which
+    /// [`Tape::run`] applies after the body within the same call. They
+    /// are not tape instructions, so [`TapeStats::ops`] and
+    /// [`TapeProfile::ops_retired`] leave them out.
     pub epilogue_ops: usize,
     /// `parallel` loops compiled into regions that [`Tape::run`] splits
     /// across threads. A `parallel` loop nested in another, or one whose
@@ -423,26 +375,24 @@ pub struct Tape {
     n_vars: usize,
     ops: Vec<TapeOp>,
     intrins: Vec<CompiledIntrin>,
-    epi: Option<TapeEpi>,
+    /// The function's epilogue region, applied to `output` after the
+    /// body.
+    epilogue: Option<Epilogue>,
+    output: BufId,
     stats: TapeStats,
 }
 
 /// Reusable mutable execution state for one [`Tape`]. Allocate once with
 /// [`Tape::scratch`] and reuse across calls: its buffers are sized once,
-/// so a steady-state run allocates only inside intrinsic emulation and
-/// for parallel regions (see the module docs).
+/// so a steady-state run allocates only inside intrinsic emulation, for
+/// parallel regions and for a softmax or layernorm epilogue's row (see
+/// the module docs).
 pub struct TapeScratch {
     env: Vec<i64>,
     idx_stack: Vec<i64>,
     val_stack: Vec<Scalar>,
     /// One register file per intrinsic site.
     regs: Vec<Vec<TypedBuf>>,
-    /// Per-row statistic files for row-reduction epilogues
-    /// (`batch * rows` entries each; empty without an epilogue).
-    row_a: Vec<i64>,
-    row_b: Vec<i64>,
-    /// Row gather window for two-pass statistics (`cols` entries).
-    row_tmp: Vec<i64>,
     /// Cumulative execution counters (see [`TapeProfile`]).
     profile: TapeProfile,
     /// The most threads one parallel region of a run through this
@@ -603,8 +553,9 @@ impl Tape {
     ///
     /// All structural validation the interpreter performs per run happens
     /// here once: index-arity checks ([`ExecError::IndexArity`]), intrinsic
-    /// resolution, operand-count and accumulator requirements, and lane
-    /// register-range validation.
+    /// resolution, operand-count and accumulator requirements, lane
+    /// register-range validation, and the epilogue region's geometry and
+    /// operands against the buffer declarations.
     ///
     /// # Errors
     ///
@@ -626,10 +577,12 @@ impl Tape {
             under_parallel: false,
         };
         c.stmt(&func.body)?;
-        let epi = match &func.epilogue {
-            Some(region) => Some(c.epilogue(region, func.output)?),
-            None => None,
-        };
+        if let Some(region) = &func.epilogue {
+            check_epilogue(region, func.output, func.buffers.len(), |i| {
+                func.buffers[i].len()
+            })?;
+            c.stats.epilogue_ops = region.instrs.len();
+        }
         c.stats.ops = c.ops.len();
         c.stats.intrin_sites = c.intrins.len();
         Ok(Tape {
@@ -638,7 +591,8 @@ impl Tape {
             n_vars: func.vars.len(),
             ops: c.ops,
             intrins: c.intrins,
-            epi,
+            epilogue: func.epilogue.clone(),
+            output: func.output,
             stats: c.stats,
         })
     }
@@ -667,23 +621,16 @@ impl Tape {
                 .iter()
                 .map(|ci| ci.reg_templates.clone())
                 .collect(),
-            row_a: vec![0; self.row_file_len()],
-            row_b: vec![0; self.row_file_len()],
-            row_tmp: vec![0; self.epi.map_or(0, |e| e.geom.cols as usize)],
             profile: TapeProfile::default(),
             threads: 1,
         }
     }
 
-    fn row_file_len(&self) -> usize {
-        self.epi
-            .map_or(0, |e| (e.geom.batch * e.geom.rows) as usize)
-    }
-
     /// Execute the tape on `bufs` (`bufs[i]` binds buffer `i`), reusing
-    /// `scratch`. Parallel regions split across the cores this process
-    /// may run on, once it runs more than one thread; buffers, counters
-    /// and errors equal a serial run's.
+    /// `scratch`, then apply the function's epilogue region to its output
+    /// through [`run_epilogue`]. Parallel regions split across the cores
+    /// this process may run on, once it runs more than one thread;
+    /// buffers, counters and errors equal a serial run's.
     ///
     /// # Errors
     ///
@@ -734,13 +681,11 @@ impl Tape {
             self.intrins.len(),
             "scratch from another tape"
         );
-        assert_eq!(
-            scratch.row_a.len(),
-            self.row_file_len(),
-            "scratch from another tape"
-        );
         let mut prof = TapeProfile::default();
         self.exec(0..self.ops.len(), bufs, scratch, &mut prof, threads)?;
+        if let Some(epi) = &self.epilogue {
+            run_epilogue(epi, self.output, bufs)?;
+        }
         scratch.profile.runs += 1;
         scratch.profile.ops_retired += prof.ops_retired;
         scratch.profile.guards_executed += prof.guards_executed;
@@ -849,89 +794,6 @@ impl Tape {
                         &mut scratch.idx_stack,
                         &regs[ci.out_reg as usize],
                     )?;
-                }
-                TapeOp::EpiEw { chain } => {
-                    let e = self.epi.expect("epilogue op on a tape without a region");
-                    let (g, out) = (e.geom, e.out);
-                    let dtype = bufs.buf(out).dtype;
-                    for b in 0..g.batch {
-                        for i in 0..g.rows {
-                            for j in 0..g.cols {
-                                let at = g.flat(b, i, j);
-                                let mut x = cell_to_i64(bufs.buf(out).get(at));
-                                for step in chain.iter() {
-                                    x = match *step {
-                                        EwStep::Bias { buf } => {
-                                            x + cell_to_i64(bufs.buf(buf).get(j as usize))
-                                        }
-                                        EwStep::Add { buf } => {
-                                            let r = ((b * g.rows + i) * g.cols + j) as usize;
-                                            x + cell_to_i64(bufs.buf(buf).get(r))
-                                        }
-                                        EwStep::Relu => x.max(0),
-                                        EwStep::Quant => requantize(x),
-                                    };
-                                }
-                                bufs.set(out, at, i64_to_cell(dtype, x));
-                            }
-                        }
-                    }
-                }
-                TapeOp::EpiRowStat { kind } => {
-                    let e = self.epi.expect("epilogue op on a tape without a region");
-                    let (g, out) = (e.geom, bufs.buf(e.out));
-                    for b in 0..g.batch {
-                        for i in 0..g.rows {
-                            let row = (b * g.rows + i) as usize;
-                            match kind {
-                                RowStatKind::Max => {
-                                    let mut m = i64::MIN;
-                                    for j in 0..g.cols {
-                                        m = m.max(cell_to_i64(out.get(g.flat(b, i, j))));
-                                    }
-                                    scratch.row_a[row] = m;
-                                }
-                                RowStatKind::Sum => {
-                                    let mut s = 0i64;
-                                    for j in 0..g.cols {
-                                        s += cell_to_i64(out.get(g.flat(b, i, j)));
-                                    }
-                                    scratch.row_a[row] = s;
-                                }
-                                RowStatKind::MeanSigma => {
-                                    for j in 0..g.cols {
-                                        scratch.row_tmp[j as usize] =
-                                            cell_to_i64(out.get(g.flat(b, i, j)));
-                                    }
-                                    let (mean, sigma) = mean_sigma(&scratch.row_tmp);
-                                    scratch.row_a[row] = mean;
-                                    scratch.row_b[row] = sigma;
-                                }
-                            }
-                        }
-                    }
-                }
-                TapeOp::EpiRowApply { kind } => {
-                    let e = self.epi.expect("epilogue op on a tape without a region");
-                    let (g, out) = (e.geom, e.out);
-                    let dtype = bufs.buf(out).dtype;
-                    for b in 0..g.batch {
-                        for i in 0..g.rows {
-                            let row = (b * g.rows + i) as usize;
-                            for j in 0..g.cols {
-                                let at = g.flat(b, i, j);
-                                let x = cell_to_i64(bufs.buf(out).get(at));
-                                let y = match kind {
-                                    RowApplyKind::Exp => exp_q15(scratch.row_a[row] - x),
-                                    RowApplyKind::Prob => softmax_prob(x, scratch.row_a[row]),
-                                    RowApplyKind::Norm => {
-                                        layernorm_cell(x, scratch.row_a[row], scratch.row_b[row])
-                                    }
-                                };
-                                bufs.set(out, at, i64_to_cell(dtype, y));
-                            }
-                        }
-                    }
                 }
             }
             ip += 1;
@@ -1157,104 +1019,6 @@ fn intrin_calls(s: &Stmt) -> i64 {
 }
 
 impl Compiler<'_> {
-    /// Lower an epilogue region into tape ops appended after the body.
-    /// Consecutive elementwise instructions batch into a single `EpiEw`
-    /// chain (one pass over the output instead of one per op — the fused
-    /// serving win); row reductions lower to their stat/apply pairs.
-    fn epilogue(
-        &mut self,
-        region: &unit_tir::Epilogue,
-        output: BufId,
-    ) -> Result<TapeEpi, ExecError> {
-        let g = region.geom;
-        let out_decl = self.func.buffer(output);
-        if !g.fits(out_decl.len()) {
-            return Err(ExecError::BufferDecl(format!(
-                "epilogue geometry {g:?} escapes output {} of {} elements",
-                out_decl.name,
-                out_decl.len()
-            )));
-        }
-        let mut chain: Vec<EwStep> = Vec::new();
-        for instr in &region.instrs {
-            // Operand validation mirrors the oracle: the id must name a
-            // declared buffer large enough for the op's access pattern.
-            let operand = match instr.operand {
-                Some(id) => {
-                    if id.0 as usize >= self.func.buffers.len() {
-                        return Err(ExecError::BufferCount {
-                            expected: id.0 as usize + 1,
-                            got: self.func.buffers.len(),
-                        });
-                    }
-                    let decl = self.func.buffer(id);
-                    let need = match instr.op {
-                        EpiOp::Bias => g.cols,
-                        EpiOp::Add => g.batch * g.rows * g.cols,
-                        _ => 0,
-                    } as usize;
-                    if decl.len() < need {
-                        return Err(ExecError::BufferDecl(format!(
-                            "epilogue operand {} holds {} elements, needs {need}",
-                            decl.name,
-                            decl.len()
-                        )));
-                    }
-                    Some(id.0)
-                }
-                None => None,
-            };
-            match instr.op {
-                EpiOp::Bias => chain.push(EwStep::Bias {
-                    buf: operand.expect("bias carries an operand"),
-                }),
-                EpiOp::Add => chain.push(EwStep::Add {
-                    buf: operand.expect("add carries an operand"),
-                }),
-                EpiOp::Relu => chain.push(EwStep::Relu),
-                EpiOp::Quant => chain.push(EwStep::Quant),
-                EpiOp::Softmax => {
-                    self.flush_ew(&mut chain);
-                    self.ops.push(TapeOp::EpiRowStat {
-                        kind: RowStatKind::Max,
-                    });
-                    self.ops.push(TapeOp::EpiRowApply {
-                        kind: RowApplyKind::Exp,
-                    });
-                    self.ops.push(TapeOp::EpiRowStat {
-                        kind: RowStatKind::Sum,
-                    });
-                    self.ops.push(TapeOp::EpiRowApply {
-                        kind: RowApplyKind::Prob,
-                    });
-                }
-                EpiOp::LayerNorm => {
-                    self.flush_ew(&mut chain);
-                    self.ops.push(TapeOp::EpiRowStat {
-                        kind: RowStatKind::MeanSigma,
-                    });
-                    self.ops.push(TapeOp::EpiRowApply {
-                        kind: RowApplyKind::Norm,
-                    });
-                }
-            }
-            self.stats.epilogue_ops += 1;
-        }
-        self.flush_ew(&mut chain);
-        Ok(TapeEpi {
-            out: output.0,
-            geom: g,
-        })
-    }
-
-    fn flush_ew(&mut self, chain: &mut Vec<EwStep>) {
-        if !chain.is_empty() {
-            self.ops.push(TapeOp::EpiEw {
-                chain: std::mem::take(chain).into(),
-            });
-        }
-    }
-
     fn stmt(&mut self, s: &Stmt) -> Result<(), ExecError> {
         match s {
             Stmt::For(fs) => {
@@ -1652,7 +1416,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_epilogue_matches_oracle_and_batches_elementwise_chains() {
+    fn fused_epilogue_matches_oracle() {
         use unit_tir::epilogue::EpiOp as E;
         use unit_tir::epilogue::{attach_epilogue, EpiGeom, EpilogueSpec};
         let op = matmul_u8i8(6, 10, 24);
@@ -1670,14 +1434,42 @@ mod tests {
         attach_epilogue(&mut func, &spec, geom);
         let tape = assert_tape_matches_interp(&func, 13);
         assert_eq!(tape.stats().epilogue_ops, 6);
-        // bias+add+relu collapse into ONE elementwise pass; softmax is 4
-        // row ops, layernorm 2, quant 1 more elementwise pass.
-        let ew = tape
-            .ops
-            .iter()
-            .filter(|o| matches!(o, TapeOp::EpiEw { .. }))
-            .count();
-        assert_eq!(ew, 2, "consecutive elementwise ops must batch");
+    }
+
+    #[test]
+    fn epilogue_intermediates_wrap_to_the_output_dtype_like_the_oracle() {
+        use unit_tir::epilogue::{attach_epilogue, EpiGeom, EpiOp as E, EpilogueSpec};
+        // Operands at i32::MAX push every positive accumulator past the
+        // i32 output after the first op; each op's result is stored in
+        // the output's dtype before the next op reads it.
+        let op = matmul_u8i8(6, 10, 24);
+        let geom = EpiGeom {
+            batch: 1,
+            rows: 6,
+            cols: 10,
+            rows_pad: 6,
+            cols_pad: 10,
+        };
+        for chain in [[E::Bias, E::Relu], [E::Bias, E::Quant], [E::Add, E::Relu]] {
+            let mut func = lower(&Schedule::new(&op), "mm_wrap").unwrap();
+            attach_epilogue(&mut func, &EpilogueSpec::new(&chain), geom);
+            let mut tape_bufs = alloc_buffers(&func);
+            random_fill(&mut tape_bufs, 21);
+            let region = func.epilogue.as_ref().expect("attached");
+            for id in region.instrs.iter().filter_map(|i| i.operand) {
+                let operand = &mut tape_bufs[id.0 as usize];
+                for at in 0..operand.len() {
+                    operand.set(at, Scalar::Int(i64::from(i32::MAX)));
+                }
+            }
+            let mut interp_bufs = tape_bufs.clone();
+            Tape::compile(&func)
+                .unwrap()
+                .run_fresh(&mut tape_bufs)
+                .unwrap();
+            run(&func, &mut interp_bufs).unwrap();
+            assert_eq!(tape_bufs, interp_bufs, "{chain:?}");
+        }
     }
 
     /// The kernels the pipeline serves for perfbench's `ops-openloop`

@@ -26,7 +26,7 @@
 //! semantics bit-identical across all registered targets' dtypes.
 
 use unit_dsl::DType;
-use unit_graph::{ModelPlan, PlanSource, PlanStep};
+use unit_graph::{PlanSource, PlanStep};
 use unit_isa::{Scalar, TypedBuf};
 use unit_tir::epilogue::{exp_q15, layernorm_cell, mean_sigma, requantize, softmax_prob, EpiGeom};
 use unit_tir::{EpiOp, EpilogueSpec, TirFunc};
@@ -423,8 +423,9 @@ pub fn gather_output(buf: &TypedBuf, geom: EpiGeom) -> Compact {
 }
 
 /// Apply an epilogue chain to a gathered output, reference style — the
-/// **unfused** serving baseline. Same fixed-point helpers, same op
-/// order and row-reduction structure as `unit_interp::run_epilogue`, so
+/// **unfused** serving baseline, and the independent check of
+/// `unit_interp::run_epilogue`, which both kernel executors share. Same
+/// fixed-point helpers, same op order and row-reduction structure, so
 /// the unfused result is bit-identical to the fused tape's (compacts
 /// hold exact `i64`; the buffer round-trips the fused path performs are
 /// exact in the serving value domain).
@@ -551,14 +552,6 @@ pub fn plan_input_dims(graph: &unit_graph::Graph) -> Result<(i64, i64), String> 
             _ => None,
         })
         .ok_or_else(|| "model graph has no 2D token input".to_string())
-}
-
-/// Count the epilogue ops a fused plan executes inside kernel dispatches
-/// per forward pass (delegates to [`ModelPlan::fused_epilogue_ops`];
-/// re-exported here so the serving layer has one import surface).
-#[must_use]
-pub fn fused_ops_per_forward(plan: &ModelPlan) -> usize {
-    plan.fused_epilogue_ops()
 }
 
 #[cfg(test)]

@@ -196,8 +196,6 @@ impl ActiveSpan {
 pub struct TraceCollector {
     enabled: AtomicBool,
     next_id: AtomicU64,
-    recorded: AtomicU64,
-    dropped: AtomicU64,
     epoch: Instant,
     head: AtomicU64,
     ring: Vec<Mutex<Option<Arc<Trace>>>>,
@@ -220,8 +218,6 @@ impl TraceCollector {
         TraceCollector {
             enabled: AtomicBool::new(env_on),
             next_id: AtomicU64::new(1),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             epoch: Instant::now(),
             head: AtomicU64::new(0),
             ring: (0..TRACE_RING_CAPACITY).map(|_| Mutex::new(None)).collect(),
@@ -261,19 +257,18 @@ impl TraceCollector {
     }
 
     /// Finish a trace: stamp its end time and publish it into the ring
-    /// (and the slow-request exemplar set when it qualifies). Every
-    /// finished trace is either retained in the ring or counted in
-    /// [`TraceCollector::dropped`]; exemplar retention is additive.
-    /// Returns whether this publication counted a drop (an eviction or
-    /// a skipped busy slot) so callers can feed a `trace_dropped`
-    /// metric without re-reading the counter.
+    /// (and the slow-request exemplar set when it qualifies). Returns
+    /// whether the publication dropped a trace (an eviction or a skipped
+    /// busy slot): every finished trace is either retained in the ring
+    /// or reported dropped here, and exemplar retention is additive. The
+    /// serving engine counts both outcomes in its `traces_recorded` and
+    /// `trace_dropped` metrics.
     pub fn finish(&self, handle: &TraceHandle) -> bool {
         let end = handle.now_us().max(1);
         handle.trace.end_us.store(end, Ordering::Release);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
         self.retain_exemplar(&handle.trace);
         let slot = self.head.fetch_add(1, Ordering::Relaxed) as usize % self.ring.len();
-        let dropped = match self.ring[slot].try_lock() {
+        match self.ring[slot].try_lock() {
             Ok(mut s) => {
                 // On overflow the evicted trace is gone (unless an
                 // exemplar kept it).
@@ -281,11 +276,7 @@ impl TraceCollector {
             }
             // A reader holds the slot; never block a finishing request.
             Err(_) => true,
-        };
-        if dropped {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        dropped
     }
 
     fn retain_exemplar(&self, trace: &Arc<Trace>) {
@@ -305,18 +296,6 @@ impl TraceCollector {
                 ex[idx] = Arc::clone(trace);
             }
         }
-    }
-
-    /// Total traces finished since construction.
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
-
-    /// Finished traces evicted from (or never stored in) the ring.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Look a trace up by id (ring first, then exemplars).
@@ -441,7 +420,7 @@ mod tests {
         let c = TraceCollector::new();
         c.set_enabled(false);
         assert!(c.begin("x").is_none());
-        assert_eq!(c.recorded(), 0);
+        assert!(c.traces().is_empty());
     }
 
     #[test]
@@ -469,12 +448,11 @@ mod tests {
         let c = TraceCollector::new();
         c.set_enabled(true);
         let n = TRACE_RING_CAPACITY as u64 + 40;
-        for i in 0..n {
-            let h = c.begin(format!("r{i}")).expect("enabled");
-            c.finish(&h);
-        }
-        assert_eq!(c.recorded(), n);
-        assert_eq!(c.dropped(), 40);
+        let finished: Vec<bool> = (0..n)
+            .map(|i| c.finish(&c.begin(format!("r{i}")).expect("enabled")))
+            .collect();
+        assert_eq!(finished.len() as u64, n);
+        assert_eq!(finished.iter().filter(|&&dropped| dropped).count(), 40);
         let retained = c.traces();
         assert!(retained.len() <= TRACE_RING_CAPACITY + TRACE_EXEMPLARS);
     }

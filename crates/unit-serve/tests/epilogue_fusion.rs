@@ -3,7 +3,7 @@
 //! The transformer-tiny quantized forward pass serves end-to-end as one
 //! artifact: eight fused kernel dispatches with every epilogue op (bias,
 //! residual add, ReLU, requantize, softmax, layernorm) executing inside
-//! the compiled tape. On **every registered target** the fused tape run
+//! the tape dispatch. On **every registered target** the fused tape run
 //! must be bit-identical to
 //!
 //! * the tree-walk interpreter oracle serving the same fused plan
@@ -14,7 +14,11 @@
 //! A property test then fuzzes random epilogue chains — random subsets
 //! of {bias, relu, add, layernorm, softmax} in random order — through
 //! the fused compile path on every target, asserting tape vs tree-walk
-//! bit-identity for each chain.
+//! bit-identity for each chain. Both executors apply the epilogue
+//! through one routine, so a second property test checks the same
+//! chains against an independent implementation: on serving-domain
+//! operands, the fused tape's output must equal the plain kernel's
+//! output after the compact reference epilogue.
 
 use unit_core::pipeline::{Target, TuningConfig};
 use unit_core::tuner::{CpuTuneMode, GpuTuneMode};
@@ -23,8 +27,9 @@ use unit_graph::models::{transformer_micro, transformer_tiny};
 use unit_graph::{CacheWorkload, Graph, OpSpec};
 use unit_interp::{alloc_buffers, random_fill, run, Tape};
 use unit_isa::registry;
+use unit_serve::model::{self, Compact};
 use unit_serve::{ExecMode, ServeEngine};
-use unit_tir::{EpiOp, EpilogueSpec};
+use unit_tir::{EpiGeom, EpiOp, EpilogueSpec, TirFunc};
 
 fn tuning() -> TuningConfig {
     TuningConfig {
@@ -208,6 +213,61 @@ fn random_epilogue_chains_are_tape_vs_interpreter_bit_identical() {
                 tape_bufs[compiled.output],
                 interp_bufs[compiled.output],
                 "{id}: chain `{}` diverged between tape and tree walk",
+                epi.encode()
+            );
+        }
+    }
+}
+
+/// Run `func`'s tape on a `[batch, m, k] x [batch, n, k]` GEMM's
+/// operands, scattered the way `ServeEngine::execute_model` scatters
+/// them, and gather the logical cells of output buffer `output`.
+fn serve_gemm(
+    func: &TirFunc,
+    output: usize,
+    data: &Compact,
+    weight: &Compact,
+    bias: &Compact,
+    residual: &Compact,
+) -> Compact {
+    let mut bufs = alloc_buffers(func);
+    model::scatter_operands(func, data, weight, &mut bufs).expect("operands scatter");
+    model::fill_epilogue_operands(func, bias, &[residual], &mut bufs).expect("epilogue operands");
+    let tape = Tape::compile(func).expect("tape compiles");
+    tape.run_fresh(&mut bufs).expect("tape runs");
+    let out_shape = &func.buffers[output].shape;
+    let geom = EpiGeom::for_output(data.batch, data.rows, weight.rows, out_shape)
+        .expect("GEMM output geometry");
+    model::gather_output(&bufs[output], geom)
+}
+
+#[test]
+fn random_epilogue_chains_match_the_compact_reference_on_serving_operands() {
+    let mut state = 0x5eed_u64;
+    let (batch, m, n, k) = (2, 8, 16, 12);
+    let op = OpSpec::batched_gemm(batch, m, n, k);
+    let weight = model::implicit_weight("random-chains", "gemm", batch, n, k);
+    let bias = model::implicit_bias("random-chains", "gemm", n);
+    for id in target_ids() {
+        let target = Target::by_id(&id).expect("registered");
+        let provider = UnitProvider::new(target, tuning());
+        let plain = provider.compile_workload_full(&CacheWorkload::Op(op));
+        for round in 0..12 {
+            let epi = random_chain(&mut state);
+            let fused = provider.compile_workload_full(&CacheWorkload::Fused { op, epi });
+            // Tokens and residual in the token range, split per head.
+            let tokens = model::input_tokens(round, m, batch * k);
+            let data = model::gather_data(&tokens, batch, m, k).expect("head split");
+            let residual = model::input_tokens(100 + round, m, batch * n);
+            let residual = model::gather_data(&residual, batch, m, n).expect("head split");
+            let got = serve_gemm(&fused.func, fused.output, &data, &weight, &bias, &residual);
+            let mut want = serve_gemm(&plain.func, plain.output, &data, &weight, &bias, &residual);
+            model::apply_epilogue_reference(&mut want, &epi, &bias, &[&residual])
+                .expect("reference epilogue");
+            assert_eq!(
+                got,
+                want,
+                "{id}: chain `{}` diverged from the compact reference",
                 epi.encode()
             );
         }

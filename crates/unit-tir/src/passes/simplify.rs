@@ -1,7 +1,6 @@
 //! Structural simplification: flatten nested sequences, drop no-ops and
 //! extent-1 loops (substituting the loop variable with zero).
 
-use crate::expr::TExpr;
 use crate::func::TirFunc;
 use crate::idx::IdxExpr;
 use crate::stmt::{ForStmt, Guard, IntrinStmt, OperandSpec, Stmt, StoreStmt};
@@ -161,15 +160,10 @@ fn elide_stmt(stmt: &Stmt, extent_of: &dyn Fn(crate::func::VarId) -> i64) -> Stm
     }
 }
 
-/// Whether the expression tree contains any load (used by cost analyses).
-#[must_use]
-pub fn has_loads(e: &TExpr) -> bool {
-    !e.loads().is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::TExpr;
     use crate::func::{BufId, VarId};
     use crate::lower::lower;
     use crate::schedule::Schedule;

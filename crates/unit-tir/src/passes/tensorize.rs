@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use unit_dsl::{AxisId, ComputeOp, Expr, TensorId};
+use unit_dsl::{AxisId, ComputeOp, TensorId};
 use unit_isa::TensorIntrinsic;
 
 use crate::expr::TExpr;
@@ -410,13 +410,6 @@ fn replace_pragma(stmt: &Stmt, replacement: &Stmt) -> Stmt {
         },
         other => other.clone(),
     }
-}
-
-/// Double-check that an op expression tree and an instruction expression
-/// tree have matching load orders (used in debug assertions by callers).
-#[must_use]
-pub fn load_orders_agree(op_elem: &Expr, inst_elem: &Expr) -> bool {
-    op_elem.loads().len() == inst_elem.loads().len()
 }
 
 #[cfg(test)]

@@ -401,16 +401,6 @@ impl Schedule {
         }
         out
     }
-
-    /// Product of the extents of all current data-parallel leaves outside
-    /// position `pos` (used by the CPU tuner's breaking-point search).
-    #[must_use]
-    pub fn outer_extent_product(&self, pos: usize) -> i64 {
-        self.leaves[..pos.min(self.leaves.len())]
-            .iter()
-            .map(|v| self.var(*v).extent)
-            .product()
-    }
 }
 
 #[cfg(test)]
